@@ -200,6 +200,7 @@ class PhantomProtectedRTree:
         self, txn: Transaction, oid: ObjectId, rect: Rect, payload: Any = None
     ) -> InsertResult:
         """Insert an object (Table 3 rows "Insert ...")."""
+        self.tree.check_dim(rect)
         result = InsertResult()
         with self._operation(txn, result, "insert") as ctx:
             # The undo action is registered *before* the structure changes
@@ -222,6 +223,7 @@ class PhantomProtectedRTree:
 
     def delete(self, txn: Transaction, oid: ObjectId, rect: Rect) -> DeleteResult:
         """Logically delete an object (§3.6); physical removal is deferred."""
+        self.tree.check_dim(rect)
         result = DeleteResult()
         with self._operation(txn, result, "delete") as ctx:
             leaf_id = self.protocol.logical_delete(ctx, oid, rect)
@@ -236,6 +238,7 @@ class PhantomProtectedRTree:
 
     def read_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> SingleResult:
         """Read one object by id (Table 3: S lock on the object only)."""
+        self.tree.check_dim(rect)
         result = SingleResult()
         with self._operation(txn, result, "read_single") as ctx:
             entry = self.protocol.lock_read_single(ctx, oid, rect)
@@ -257,6 +260,7 @@ class PhantomProtectedRTree:
         """All objects overlapping ``predicate`` (Table 3: S on all
         overlapping granules, commit duration -- this is what protects the
         range from phantoms until the transaction ends)."""
+        self.tree.check_dim(predicate)
         result = ScanResult()
         with self._operation(txn, result, "read_scan") as ctx:
             entries = self.protocol.execute_scan(ctx, predicate)
@@ -271,6 +275,7 @@ class PhantomProtectedRTree:
         """Update an object's non-indexed attributes (Table 3: IX on the
         granule, X on the object).  Changing indexed attributes is modelled
         as delete + insert, as the paper prescribes."""
+        self.tree.check_dim(rect)
         result = SingleResult()
         with self._operation(txn, result, "update_single") as ctx:
             entry = self.protocol.lock_update_single(ctx, oid, rect)
@@ -302,6 +307,7 @@ class PhantomProtectedRTree:
     ) -> ScanResult:
         """Update every object overlapping ``predicate`` (Table 3: SIX on
         the minimal covering granules, S on the rest, X per object)."""
+        self.tree.check_dim(predicate)
         result = ScanResult()
         with self._operation(txn, result, "update_scan") as ctx:
             entries = self.protocol.lock_update_scan(ctx, predicate)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.core.granules import GranuleRef, GranuleSet
 from repro.core.policy import InsertionPolicy
@@ -42,6 +42,8 @@ from repro.storage.page import PageId
 
 #: one lock requirement: (resource, mode, duration)
 Want = Tuple[ResourceId, LockMode, LockDuration]
+
+T = TypeVar("T")
 
 S, X, IX, SIX = LockMode.S, LockMode.X, LockMode.IX, LockMode.SIX
 SHORT, COMMIT = LockDuration.SHORT, LockDuration.COMMIT
@@ -119,12 +121,18 @@ class OpContext:
     """Per-operation lock bookkeeping for one transaction."""
 
     txn_id: Hashable
-    #: every (resource, mode, duration) granted during this operation
-    acquired: Set[Want] = field(default_factory=set)
+    #: every (mode, duration) granted during this operation, by resource
+    acquired: Dict[ResourceId, Set[Tuple[LockMode, LockDuration]]] = field(default_factory=dict)
     #: grant order, for the Table 3 trace assertions
     taken: List[Want] = field(default_factory=list)
     waits: int = 0
     restarts: int = 0
+
+    def granted(self, want: Want) -> None:
+        """Record one granted lock."""
+        resource, mode, duration = want
+        self.acquired.setdefault(resource, set()).add((mode, duration))
+        self.taken.append(want)
 
     def holds_covering(self, resource: ResourceId, mode: LockMode, duration: LockDuration) -> bool:
         """Did this operation already take a lock subsuming the want?
@@ -139,11 +147,12 @@ class OpContext:
         later SHORT want, or the operation proceeds unfenced.  The
         protocol prunes dead SHORT entries on every restart and at
         ``end_operation`` (see :meth:`prune_dead_shorts` /
-        :meth:`drop_short_acquired`) so this scan never double-counts.
+        :meth:`drop_short_acquired`) so this lookup never double-counts.
         """
-        for held_resource, held_mode, held_duration in self.acquired:
-            if held_resource != resource:
-                continue
+        held = self.acquired.get(resource)
+        if not held:
+            return False
+        for held_mode, held_duration in held:
             if not covers(held_mode, mode):
                 continue
             if duration is COMMIT and held_duration is SHORT:
@@ -154,7 +163,9 @@ class OpContext:
     def drop_short_acquired(self) -> None:
         """Forget every SHORT entry: called when the operation's short
         locks are released, so a reused context cannot double-count them."""
-        self.acquired = {w for w in self.acquired if w[2] is not SHORT}
+        for resource, mode, duration in self.taken:  # every grant is in ``taken``
+            if duration is SHORT:
+                self._forget(resource, mode)
 
     def prune_dead_shorts(self, lm: LockManager) -> None:
         """Drop SHORT entries no longer backed by a held lock.
@@ -169,14 +180,26 @@ class OpContext:
         against the lock manager at every restart keeps the bookkeeping
         honest.
         """
-        shorts = [w for w in self.acquired if w[2] is SHORT]
+        shorts = [
+            (resource, mode)
+            for resource, held in self.acquired.items()
+            for mode, duration in held
+            if duration is SHORT
+        ]
         if not shorts:
             return
-        held = lm.locks_of(self.txn_id)
-        for want in shorts:
-            resource, mode, _duration = want
-            if held.get(resource, {}).get((mode, SHORT), 0) <= 0:
-                self.acquired.discard(want)
+        held_locks = lm.locks_of(self.txn_id)
+        for resource, mode in shorts:
+            if held_locks.get(resource, {}).get((mode, SHORT), 0) <= 0:
+                self._forget(resource, mode)
+
+    def _forget(self, resource: ResourceId, mode: LockMode) -> None:
+        """Drop one SHORT entry (if still recorded)."""
+        held = self.acquired.get(resource)
+        if held is not None:
+            held.discard((mode, SHORT))
+            if not held:
+                del self.acquired[resource]
 
 
 class GranuleLockProtocol:
@@ -245,8 +268,7 @@ class GranuleLockProtocol:
             if ctx.holds_covering(resource, mode, duration):
                 continue
             if self.lm.acquire(ctx.txn_id, resource, mode, duration, conditional=True):
-                ctx.acquired.add(want)
-                ctx.taken.append(want)
+                ctx.granted(want)
             else:
                 return want
         return None
@@ -257,8 +279,7 @@ class GranuleLockProtocol:
         resource, mode, duration = want
         ctx.waits += 1
         self.lm.acquire(ctx.txn_id, resource, mode, duration, conditional=False)
-        ctx.acquired.add(want)
-        ctx.taken.append(want)
+        ctx.granted(want)
 
     def _acquire_all(self, ctx: OpContext, wants: Sequence[Want]) -> None:
         """Take every want, waiting as needed (post-mutation locks only)."""
@@ -267,8 +288,7 @@ class GranuleLockProtocol:
             if ctx.holds_covering(resource, mode, duration):
                 continue
             if self.lm.acquire(ctx.txn_id, resource, mode, duration, conditional=True):
-                ctx.acquired.add(want)
-                ctx.taken.append(want)
+                ctx.granted(want)
             else:
                 self._wait_for(ctx, want)
 
@@ -352,8 +372,13 @@ class GranuleLockProtocol:
     # overlapping granules, commit duration)
     # ------------------------------------------------------------------
 
-    def lock_scan(self, ctx: OpContext, predicate: Rect) -> List[GranuleRef]:
-        """Commit-duration S locks on every granule overlapping the predicate."""
+    def _scan_granted(
+        self, ctx: OpContext, predicate: Rect, then: Callable[[List[GranuleRef]], T]
+    ) -> T:
+        """Commit-duration S locks on every granule overlapping the
+        predicate; once all are granted, return ``then(refs)`` evaluated in
+        the same latch hold.  A blocked want restarts the loop, which
+        recomputes the granules."""
         while True:
             self._yield("scan", ctx)
             with self.latch:
@@ -361,15 +386,27 @@ class GranuleLockProtocol:
                 wants: List[Want] = [(ref.resource, S, COMMIT) for ref in refs]
                 blocked = self._acquire_conditional(ctx, wants)
                 if blocked is None:
-                    return refs
+                    return then(refs)
             self._restart(ctx, blocked)
             self._wait_for(ctx, blocked)
 
+    def lock_scan(self, ctx: OpContext, predicate: Rect) -> List[GranuleRef]:
+        """Commit-duration S locks on every granule overlapping the predicate."""
+        return self._scan_granted(ctx, predicate, lambda refs: refs)
+
     def execute_scan(self, ctx: OpContext, predicate: Rect) -> List[LeafEntry]:
-        """Lock then read; tombstoned entries are logically absent."""
-        self.lock_scan(ctx, predicate)
-        with self.latch:
-            return [e for e in self.tree.search(predicate) if not e.tombstone]
+        """Lock then read; tombstoned entries are logically absent.
+
+        One traversal: the granule walk has already read every non-leaf
+        node the search needs, so only the locked leaf granules are read.
+        """
+        return self._scan_granted(
+            ctx, predicate, lambda refs: self._read_leaf_granules(refs, predicate)
+        )
+
+    def _read_leaf_granules(self, refs: Sequence[GranuleRef], predicate: Rect) -> List[LeafEntry]:
+        """The live entries overlapping the predicate on the refs' leaves."""
+        return self.tree.search_leaves([ref.page_id for ref in refs if ref.is_leaf], predicate)
 
     # ------------------------------------------------------------------
     # UpdateScan (Table 3: SIX on the minimal covering set, S on the
@@ -385,7 +422,7 @@ class GranuleLockProtocol:
                 wants += [(ref.resource, S, COMMIT) for ref in rest]
                 blocked = self._acquire_conditional(ctx, wants)
                 if blocked is None:
-                    matches = [e for e in self.tree.search(predicate) if not e.tombstone]
+                    matches = self._read_leaf_granules(cover + rest, predicate)
                     object_wants: List[Want] = [
                         (ResourceId.obj(e.oid), X, COMMIT) for e in matches
                     ]

@@ -115,8 +115,12 @@ class Rect:
     # -- predicates --------------------------------------------------------
 
     def intersects(self, other: "Rect") -> bool:
-        """Closed-box overlap test (shared boundaries count as overlap)."""
-        self._check_dim(other)
+        """Closed-box overlap test (shared boundaries count as overlap).
+
+        Like :meth:`intersects_open` and :meth:`contains`, this hot
+        predicate does not check dimensions: callers check rectangles
+        once where they enter (``RTree.check_dim``).
+        """
         for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
             if a_hi < b_lo or b_hi < a_lo:
                 return False
@@ -128,7 +132,6 @@ class Rect:
         Used when testing whether a predicate overlaps the *interior* of a
         region; touching boundaries do not count.
         """
-        self._check_dim(other)
         for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
             if min(a_hi, b_hi) <= max(a_lo, b_lo):
                 return False
@@ -136,7 +139,6 @@ class Rect:
 
     def contains(self, other: "Rect") -> bool:
         """True when ``other`` lies entirely within this box."""
-        self._check_dim(other)
         for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
             if b_lo < a_lo or b_hi > a_hi:
                 return False

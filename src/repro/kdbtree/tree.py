@@ -178,6 +178,8 @@ class KDBTree:
 
     def overlapping_leaf_ids(self, rect: Rect) -> List[PageId]:
         """Leaves whose region overlaps the predicate (the scan granules)."""
+        if rect.dim != self.config.dim:
+            raise ValueError(f"dimension mismatch: {rect.dim} != tree dimension {self.config.dim}")
         out: List[PageId] = []
         stack = [self.node(self.root_id)]
         while stack:

@@ -19,7 +19,7 @@ any blocking lock wait and re-plans if the tree moved underneath it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry import Rect
 from repro.rtree.entry import ChildEntry, LeafEntry, ObjectId
@@ -173,12 +173,38 @@ class RTree:
     # search
     # ------------------------------------------------------------------
 
+    def check_dim(self, rect: Rect) -> None:
+        """Reject a rectangle of the wrong dimensionality.
+
+        The hot geometric predicates do not check dimensions themselves
+        (they run once per entry a traversal visits), so rectangles
+        entering from outside are checked once, here.
+        """
+        if rect.dim != self.config.dim:
+            raise ValueError(f"dimension mismatch: {rect.dim} != tree dimension {self.config.dim}")
+
     def search(self, rect: Rect, include_tombstones: bool = False) -> List[LeafEntry]:
         """All data entries whose rectangle overlaps ``rect``."""
+        self.check_dim(rect)
         results: List[LeafEntry] = []
         for leaf in self._overlapping_leaf_nodes(rect):
             for entry in leaf.entries:
                 if entry.rect.intersects(rect) and (include_tombstones or not entry.tombstone):
+                    results.append(entry)  # type: ignore[arg-type]
+        return results
+
+    def search_leaves(self, leaf_ids: Iterable[PageId], rect: Rect) -> List[LeafEntry]:
+        """The live data entries overlapping ``rect`` on the given leaves.
+
+        The second half of a locked scan: the caller has already walked the
+        non-leaf levels (the granule walk decides leaf overlap one level
+        up) and passes the overlapping leaves, so only those pages are
+        read here.
+        """
+        results: List[LeafEntry] = []
+        for page_id in leaf_ids:
+            for entry in self.node(page_id).entries:
+                if not entry.tombstone and entry.rect.intersects(rect):  # type: ignore[union-attr]
                     results.append(entry)  # type: ignore[arg-type]
         return results
 
@@ -189,6 +215,7 @@ class RTree:
     def find_entry(self, oid: ObjectId, rect: Rect) -> Optional[Tuple[PageId, LeafEntry]]:
         """Locate the data entry for ``oid`` (FindLeaf); ``rect`` guides the
         traversal and must equal the rectangle the object was stored with."""
+        self.check_dim(rect)
         for leaf in self._overlapping_leaf_nodes(rect):
             entry = leaf.find_entry(oid)
             if entry is not None:
@@ -203,6 +230,7 @@ class RTree:
         this is why the paper notes an inserter "never needs to access the
         lowest level index nodes" when taking its short-duration locks.
         """
+        self.check_dim(rect)
         root = self.root()
         if root.is_leaf:
             mbr = root.mbr()
@@ -271,6 +299,7 @@ class RTree:
         ``target_level > 0`` plans an orphan subtree re-insertion: the
         entry lands in a node at that level instead of a leaf.
         """
+        self.check_dim(rect)
         path = self._choose_path(rect, target_level=target_level)
         plan = InsertPlan(
             rect=rect, path_ids=[n.page_id for n in path], target_level=target_level
@@ -316,6 +345,7 @@ class RTree:
 
     def plan_delete(self, oid: ObjectId, rect: Rect) -> Optional[DeletePlan]:
         """Predict the structural effect of physically removing ``oid``."""
+        self.check_dim(rect)
         located = self._find_path_to(oid, rect)
         if located is None:
             return None
@@ -578,6 +608,7 @@ class RTree:
         re-insert each one under its own locks (§3.7).  The caller must
         re-insert them all or the objects are lost.
         """
+        self.check_dim(rect)
         path = self._find_path_to(oid, rect)
         if path is None:
             raise RTreeError(f"object {oid!r} not found")

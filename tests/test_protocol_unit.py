@@ -20,27 +20,27 @@ class TestOpContext:
         ctx = OpContext("t")
         want = (ResourceId.leaf(1), IX, COMMIT)
         assert not ctx.holds_covering(*want)
-        ctx.acquired.add(want)
+        ctx.granted(want)
         assert ctx.holds_covering(*want)
 
     def test_stronger_mode_covers_weaker(self):
         ctx = OpContext("t")
-        ctx.acquired.add((ResourceId.leaf(1), SIX, COMMIT))
+        ctx.granted((ResourceId.leaf(1), SIX, COMMIT))
         assert ctx.holds_covering(ResourceId.leaf(1), IX, COMMIT)
         assert ctx.holds_covering(ResourceId.leaf(1), S, COMMIT)
         assert not ctx.holds_covering(ResourceId.leaf(1), X, COMMIT)
 
     def test_commit_covers_short_but_not_vice_versa(self):
         ctx = OpContext("t")
-        ctx.acquired.add((ResourceId.leaf(1), IX, COMMIT))
+        ctx.granted((ResourceId.leaf(1), IX, COMMIT))
         assert ctx.holds_covering(ResourceId.leaf(1), IX, SHORT)
         ctx2 = OpContext("t")
-        ctx2.acquired.add((ResourceId.leaf(2), IX, SHORT))
+        ctx2.granted((ResourceId.leaf(2), IX, SHORT))
         assert not ctx2.holds_covering(ResourceId.leaf(2), IX, COMMIT)
 
     def test_different_resource_never_covers(self):
         ctx = OpContext("t")
-        ctx.acquired.add((ResourceId.leaf(1), X, COMMIT))
+        ctx.granted((ResourceId.leaf(1), X, COMMIT))
         assert not ctx.holds_covering(ResourceId.leaf(2), S, SHORT)
 
 
@@ -57,14 +57,14 @@ class TestDeadShortPruning:
         ctx = OpContext("t")
         want = (self.RES, SIX, SHORT)
         assert lm.acquire("t", self.RES, SIX, SHORT, conditional=True)
-        ctx.acquired.add(want)
+        ctx.granted(want)
         lm.end_operation("t")  # e.g. a retry wrapper finishing attempt #1
         # Without pruning, holds_covering still subsumes the dead fence...
         assert ctx.holds_covering(*want)
         # ...and pruning removes exactly that entry.
         ctx.prune_dead_shorts(lm)
         assert not ctx.holds_covering(*want)
-        assert want not in ctx.acquired
+        assert self.RES not in ctx.acquired
 
     def test_prune_keeps_live_shorts_and_commit_locks(self):
         lm = LockManager()
@@ -73,9 +73,10 @@ class TestDeadShortPruning:
         commit_lock = (ResourceId.obj("o"), X, COMMIT)
         assert lm.acquire("t", self.RES, IX, SHORT, conditional=True)
         assert lm.acquire("t", ResourceId.obj("o"), X, COMMIT, conditional=True)
-        ctx.acquired.update({live_short, commit_lock})
+        ctx.granted(live_short)
+        ctx.granted(commit_lock)
         ctx.prune_dead_shorts(lm)
-        assert ctx.acquired == {live_short, commit_lock}
+        assert ctx.acquired == {self.RES: {(IX, SHORT)}, ResourceId.obj("o"): {(X, COMMIT)}}
         lm.release_all("t")
 
     def test_end_operation_drops_short_bookkeeping(self):
@@ -87,8 +88,7 @@ class TestDeadShortPruning:
         ctx = OpContext("t")
         want = (self.RES, SIX, SHORT)
         assert lm.acquire("t", self.RES, SIX, SHORT, conditional=True)
-        ctx.acquired.add(want)
-        ctx.taken.append(want)
+        ctx.granted(want)
         protocol.end_operation(ctx)
         assert not ctx.holds_covering(*want)
         # A later conditional pass must re-acquire, not skip, the fence.
@@ -106,7 +106,7 @@ class TestDeadShortPruning:
         ctx = OpContext("t")
         want = (self.RES, IX, SHORT)
         assert lm.acquire("t", self.RES, IX, SHORT, conditional=True)
-        ctx.acquired.add(want)
+        ctx.granted(want)
         lm.end_operation("t")
         protocol._restart(ctx)
         assert ctx.restarts == 1
