@@ -5,11 +5,12 @@ Runs a fixed suite and writes a JSON report with a stable schema
 (``dgl-bench/1``), so successive PRs can track the same numbers:
 
 * ``scan_dgl``        -- repeated ``read_scan`` transactions over a
-  32,000-object bulk-loaded tree, geometry cache off (before) vs on
-  (after).  This is the lock-acquisition hot path the cache targets.
-* ``insert_throughput`` -- single-threaded transactional inserts,
-  legacy configuration (cache off, one lock stripe) vs the new defaults.
-  Guards against the fast path taxing writers.
+  32,000-object bulk-loaded tree: the lock-acquisition hot path.  One
+  run (``after``, the configuration users run); there is no legacy
+  switch left to measure a ``before`` with.
+* ``insert_throughput`` -- single-threaded transactional inserts, one
+  lock stripe (before) vs the default eight (after).  Guards against
+  the fast path taxing writers.
 * ``table2_overhead``  -- the paper's Table 2 additional-disk-access
   metric (unchanged by this layer; tracked to prove it).
 * ``lock_contention``  -- 8 threads hammering acquire/release on the
@@ -68,8 +69,8 @@ def _rate(ops: int, seconds: float) -> float:
     return ops / seconds if seconds > 0 else float("inf")
 
 
-def _scan_index(n_objects: int, fanout: int, use_cache: bool, stripes: int) -> PhantomProtectedRTree:
-    """A DGL index over a bulk-loaded tree, cache/striping as requested."""
+def _scan_index(n_objects: int, fanout: int, stripes: int) -> PhantomProtectedRTree:
+    """A DGL index over a bulk-loaded tree, striping as requested."""
     config = RTreeConfig(max_entries=fanout, universe=UNIVERSE)
     objects = paper_spatial_dataset(n_objects, seed=11)
     tree = bulk_load(objects, config)
@@ -78,8 +79,6 @@ def _scan_index(n_objects: int, fanout: int, use_cache: bool, stripes: int) -> P
     index.tree = tree
     index.protocol.tree = tree
     index.protocol.granules.tree = tree
-    if not use_cache:
-        index.protocol.granules.cache = None
     return index
 
 
@@ -98,32 +97,24 @@ def bench_scan_dgl(smoke: bool) -> Dict:
     n_scans = 40 if smoke else 400
     preds = _scan_predicates(n_scans, extent=0.05, seed=23)
 
-    def run(use_cache: bool) -> Dict:
-        index = _scan_index(n_objects, fanout=16, use_cache=use_cache, stripes=8)
+    index = _scan_index(n_objects, fanout=16, stripes=8)
 
-        def body():
-            total = 0
-            for pred in preds:
-                with index.transaction() as txn:
-                    total += len(index.read_scan(txn, pred).oids)
-            return total
+    def body():
+        total = 0
+        for pred in preds:
+            with index.transaction() as txn:
+                total += len(index.read_scan(txn, pred).oids)
+        return total
 
-        seconds, found = _timed(body)
-        return {
+    seconds, found = _timed(body)
+    return {
+        "params": {"n_objects": n_objects, "fanout": 16, "n_scans": n_scans, "extent": 0.05},
+        "after": {
             "seconds": round(seconds, 4),
             "scans": n_scans,
             "objects_found": found,
             "scans_per_s": round(_rate(n_scans, seconds), 1),
-        }
-
-    before = run(use_cache=False)
-    after = run(use_cache=True)
-    assert before["objects_found"] == after["objects_found"], "cache changed scan results"
-    return {
-        "params": {"n_objects": n_objects, "fanout": 16, "n_scans": n_scans, "extent": 0.05},
-        "before": before,
-        "after": after,
-        "speedup": round(before["seconds"] / after["seconds"], 2),
+        },
     }
 
 
@@ -131,12 +122,10 @@ def bench_insert_throughput(smoke: bool) -> Dict:
     n_inserts = 400 if smoke else 4_000
     objects = paper_spatial_dataset(n_inserts, seed=31)
 
-    def run(use_cache: bool, stripes: int) -> Dict:
+    def run(stripes: int) -> Dict:
         config = RTreeConfig(max_entries=16, universe=UNIVERSE)
         lm = LockManager(wait_strategy=SingleThreadedWait(), stripes=stripes)
         index = PhantomProtectedRTree(config, lock_manager=lm)
-        if not use_cache:
-            index.protocol.granules.cache = None
 
         def body():
             for oid, rect in objects:
@@ -150,8 +139,8 @@ def bench_insert_throughput(smoke: bool) -> Dict:
             "inserts_per_s": round(_rate(n_inserts, seconds), 1),
         }
 
-    before = run(use_cache=False, stripes=1)
-    after = run(use_cache=True, stripes=8)
+    before = run(stripes=1)
+    after = run(stripes=8)
     return {
         "params": {"n_inserts": n_inserts, "fanout": 16},
         "before": before,
@@ -253,7 +242,7 @@ def bench_tracing_overhead(smoke: bool) -> Dict:
     preds = _scan_predicates(n_scans, extent=0.05, seed=23)
 
     def run(traced: bool) -> Dict:
-        index = _scan_index(n_objects, fanout=16, use_cache=True, stripes=8)
+        index = _scan_index(n_objects, fanout=16, stripes=8)
         tracer = EventTracer() if traced else None
         if traced:
             instrument_index(index, tracer)

@@ -11,27 +11,24 @@ Internals:
 * :mod:`repro.core.granules` -- the lockable granules: leaf granules (the
   lowest-level bounding rectangles) and external granules (per non-leaf
   node, the node's space minus its children), which together cover the
-  embedded space;
+  embedded space; the lock path tests a predicate against an external
+  granule by subtracting the children it touches from the predicate
+  clipped to the node's space, without building the granule;
 * :mod:`repro.core.protocol` -- the lock-acquisition engine implementing
   Table 3, including the extra short-duration IX/SIX locks that make the
   protocol sound while granules grow, shrink and split;
-* :mod:`repro.core.geometry_cache` -- the versioned read-through cache of
-  node MBRs and external regions that keeps the per-probe cost of the
-  lock-acquisition hot path low;
 * :mod:`repro.core.policy` -- the base (`ALL_PATHS`) and modified
   (`ON_GROWTH`, `ON_GROWTH_ACTIVE_SEARCHERS`) insertion policies of §3.4;
 * :mod:`repro.core.maintenance` -- the deferred physical-delete queue of
   §3.7.
 """
 
-from repro.core.geometry_cache import GeometryCache
 from repro.core.granules import GranuleSet
 from repro.core.policy import InsertionPolicy
 from repro.core.index import PhantomProtectedRTree, ScanResult
 from repro.core.maintenance import DeferredDeleteQueue
 
 __all__ = [
-    "GeometryCache",
     "GranuleSet",
     "InsertionPolicy",
     "PhantomProtectedRTree",

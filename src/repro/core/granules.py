@@ -9,9 +9,18 @@ Two granule kinds partition the embedded space ``S``:
   ``T_s`` is the space covered by ``T`` -- its own bounding rectangle,
   except for the root where ``T_s`` is the whole embedded space ``S``.
 
-Together they cover ``S`` (tested by :meth:`GranuleSet.coverage_leftover`),
-they adapt to the data distribution as the tree changes, and any scan
-predicate maps to a small set of purely physical lock names.
+Together they cover ``S`` (tested by :meth:`GranuleSet.coverage_leftover`
+and, node by node, by :meth:`GranuleSet.loose_entries`), they adapt to
+the data distribution as the tree changes, and any scan predicate maps
+to a small set of purely physical lock names.
+
+The protocol only ever asks whether a predicate overlaps an external
+granule, so the region ``T_s − ⋃ children`` is never built on the lock
+path: :meth:`GranuleSet.overlapping` subtracts the children that touch
+the predicate from the predicate clipped to ``T_s`` and stops at the
+first piece left over.  :meth:`GranuleSet.external_region` still builds
+the whole region, as the reference the tests and the stress oracle
+check the walk against.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.geometry_cache import GeometryCache
 from repro.geometry import Rect, Region
 from repro.lock.resource import ResourceId
 from repro.rtree.node import Node
@@ -28,6 +36,8 @@ from repro.storage.page import PageId
 
 Predicate = Union[Rect, Region]
 
+Coords = Tuple[float, ...]
+
 
 def _predicate_parts(predicate: Predicate) -> Sequence[Rect]:
     return (predicate,) if isinstance(predicate, Rect) else predicate.parts
@@ -35,7 +45,7 @@ def _predicate_parts(predicate: Predicate) -> Sequence[Rect]:
 
 @dataclass(frozen=True)
 class GranuleRef:
-    """One granule: its lock name plus enough geometry for cover tests."""
+    """One granule: its lock name and the page that defines it."""
 
     resource: ResourceId
     is_leaf: bool
@@ -49,47 +59,20 @@ class GranuleSet:
     acquisition traffic is exactly the overhead the paper measures.
     """
 
-    def __init__(self, tree: RTree, use_cache: bool = True) -> None:
+    def __init__(self, tree: RTree) -> None:
         self.tree = tree
-        #: versioned geometry cache (``None`` when disabled, e.g. to
-        #: measure the uncached baseline in ``scripts/bench_report.py``)
-        self.cache: Optional[GeometryCache] = GeometryCache(tree) if use_cache else None
-
-    def _active_cache(self) -> Optional[GeometryCache]:
-        """The cache, rebuilt if ``self.tree`` was swapped out from under us
-        (tests replace the tree wholesale via ``adopt_manual_tree``)."""
-        cache = self.cache
-        if cache is not None and cache.tree is not self.tree:
-            cache = self.cache = GeometryCache(self.tree)
-        return cache
-
-    # ------------------------------------------------------------------
-    # geometry of individual granules
-    # ------------------------------------------------------------------
-
-    def node_space(self, node: Node) -> Optional[Rect]:
-        """``T_s``: the node's covered space (the universe for the root)."""
-        cache = self._active_cache()
-        if cache is not None:
-            return cache.node_space(node)
-        if node.page_id == self.tree.root_id:
-            return self.tree.config.universe
-        return node.mbr()
-
-    def node_mbr(self, node: Node) -> Optional[Rect]:
-        """The node's MBR, read through the cache when enabled."""
-        cache = self._active_cache()
-        if cache is not None:
-            return cache.node_mbr(node)
-        return node.mbr()
 
     def external_region(self, node: Node) -> Region:
-        """The external granule of a non-leaf node: ``T_s − ⋃ children``."""
+        """The external granule of a non-leaf node: ``T_s − ⋃ children``.
+
+        The reference geometry: the lock path never builds it (see
+        :meth:`overlapping`).
+        """
         assert not node.is_leaf
-        cache = self._active_cache()
-        if cache is not None:
-            return cache.external_region(node)
-        space = self.node_space(node)
+        if node.page_id == self.tree.root_id:
+            space: Optional[Rect] = self.tree.config.universe
+        else:
+            space = node.mbr()
         if space is None:
             return Region()
         return Region.difference(space, node.child_rects())
@@ -104,38 +87,69 @@ class GranuleSet:
         Leaf granules by closed-box overlap against their MBR; external
         granules by positive-measure overlap against their region.  (A
         predicate that merely touches leftover space between granules is
-        already protected by the closed leaf boxes on either side.)
+        already protected by the closed leaf boxes on either side.)  A
+        degenerate (point or line) predicate has no interior, so it
+        overlaps an external granule on closed contact instead.
         """
+        return self._walk(predicate, None)
+
+    def _walk(
+        self, predicate: Predicate, geometry: Optional[List[List[Rect]]]
+    ) -> List[GranuleRef]:
+        """The walk behind :meth:`overlapping`.  With ``geometry`` given,
+        also append, per ref, the granule's pieces the predicate overlaps:
+        a leaf's MBR, or an external granule's leftover pieces (all of
+        them, not only the first)."""
         refs: List[GranuleRef] = []
-        parts = _predicate_parts(predicate)
+        parts = [(p, p.is_degenerate()) for p in _predicate_parts(predicate)]
         if not parts:
             return refs
-        root = self.tree.root()
+        tree = self.tree
+        root = tree.root()
         if root.is_leaf:
             # Degenerate single-node tree: the lone leaf granule is the
             # whole embedded space for locking purposes (there is no
             # non-leaf node to own an external granule).
             refs.append(GranuleRef(ResourceId.leaf(root.page_id), True, root.page_id))
+            if geometry is not None:
+                geometry.append([tree.config.universe])
             return refs
-        stack = [root]
+        single = parts[0][0] if len(parts) == 1 else None
+        # ``T_s`` of a child is its entry rect in the parent, which equals
+        # the child's MBR (``validate_tree``); the root's is the universe.
+        stack = [(root, tree.config.universe)]
         while stack:
-            node = stack.pop()
-            ext = self.external_region(node)
-            if any(ext.intersects_open(p) or ext_touches_degenerate(ext, p) for p in parts):
+            node, space = stack.pop()
+            if single is not None:
+                hits = [e for e in node.entries if e.rect.intersects(single)]
+            else:
+                hits = [
+                    e for e in node.entries if any(e.rect.intersects(p) for p, _ in parts)
+                ]
+            # Only the children touching the predicate can cut the part
+            # of the external granule the predicate overlaps.
+            children = [e.rect for e in hits]
+            pieces: Optional[List[Rect]] = None if geometry is None else []
+            found = False
+            for p, degenerate in parts:
+                if _external_overlaps(space, children, p, degenerate, pieces):
+                    found = True
+                    if pieces is None:
+                        break
+            if found:
                 refs.append(GranuleRef(ResourceId.ext(node.page_id), False, node.page_id))
-            for entry in node.entries:
-                if not any(entry.rect.intersects(p) for p in parts):
-                    continue
+                if geometry is not None:
+                    geometry.append(pieces)  # type: ignore[arg-type]
+            for entry in hits:
                 if node.level == 1:
                     refs.append(
                         GranuleRef(ResourceId.leaf(entry.child_id), True, entry.child_id)  # type: ignore[union-attr]
                     )
+                    if geometry is not None:
+                        geometry.append([entry.rect])
                 else:
-                    stack.append(self.tree.node(entry.child_id))  # type: ignore[union-attr]
+                    stack.append((tree.node(entry.child_id), entry.rect))  # type: ignore[union-attr]
         return refs
-
-    def overlapping_resources(self, predicate: Predicate) -> List[ResourceId]:
-        return [ref.resource for ref in self.overlapping(predicate)]
 
     def covering(self, predicate: Rect) -> Tuple[List[GranuleRef], List[GranuleRef]]:
         """Split the overlapping granules into a greedy *covering set* and
@@ -143,35 +157,43 @@ class GranuleSet:
 
         The covering set's union contains the predicate (used by
         UpdateScan: SIX on the cover, S on the rest).  Greedy choice:
-        granules in decreasing overlap-area order until the predicate is
-        exhausted.  This is the natural approximation of the paper's
+        granules in decreasing overlap-measure order until the predicate
+        is exhausted.  This is the natural approximation of the paper's
         "minimal set of granules sufficient to fully cover the predicate"
         (exact minimality is set-cover, and nothing in the protocol's
-        correctness depends on it).
+        correctness depends on it).  Each granule takes part with the
+        pieces of it the walk found overlapping the predicate.
         """
-        refs = self.overlapping(predicate)
+        geometry: List[List[Rect]] = []
+        refs = self._walk(predicate, geometry)
+        # Measure within the predicate's own extent: a line has no area
+        # but a length, which the greedy choice must see shrink.
+        axes = [a for a, (lo, hi) in enumerate(predicate) if lo < hi]
+
+        def measure(rects: Sequence[Rect]) -> float:
+            total = 0.0
+            for r in rects:
+                prod = 1.0
+                for a in axes:
+                    prod *= r.hi[a] - r.lo[a]
+                total += prod
+            return total
+
         pieces: List[Tuple[float, GranuleRef, Sequence[Rect]]] = []
-        for ref in refs:
-            node = self.tree.node(ref.page_id, count_io=False)
-            if ref.is_leaf:
-                mbr = self.node_mbr(node)
-                geometry: Sequence[Rect] = (mbr,) if mbr is not None else ()
-            else:
-                geometry = self.external_region(node).parts
-            clipped = [r for r in (g.intersection(predicate) for g in geometry) if r is not None]
-            area = sum(c.area() for c in clipped)
-            pieces.append((area, ref, geometry))
+        for ref, granule in zip(refs, geometry):
+            clipped = [r for r in (g.intersection(predicate) for g in granule) if r is not None]
+            pieces.append((measure(clipped), ref, granule))
 
         remaining = Region.from_rect(predicate)
         cover: List[GranuleRef] = []
         rest: List[GranuleRef] = []
-        for _area, ref, geometry in sorted(pieces, key=lambda p: -p[0]):
+        for _measure, ref, granule in sorted(pieces, key=lambda p: -p[0]):
             if remaining.is_empty():
                 rest.append(ref)
                 continue
-            before = remaining.area()
-            remaining = remaining.subtract(geometry)
-            if remaining.area() < before or remaining.is_empty():
+            before = measure(remaining.parts)
+            remaining = remaining.subtract(granule)
+            if measure(remaining.parts) < before or remaining.is_empty():
                 cover.append(ref)
             else:
                 rest.append(ref)
@@ -186,7 +208,8 @@ class GranuleSet:
 
         This is the paper's central geometric claim: the lowest-level BRs
         plus the external granules of all non-leaf nodes tile the embedded
-        space.
+        space.  Its cost grows steeply with the dimension; see
+        :meth:`loose_entries` for the node-local check.
         """
         region = Region.from_rect(self.tree.config.universe)
         root = self.tree.pager.peek(self.tree.root_id).payload
@@ -196,7 +219,7 @@ class GranuleSet:
             return Region()
         for node in self.tree.iter_nodes():
             if node.is_leaf:
-                mbr = self.node_mbr(node)
+                mbr = node.mbr()
                 if mbr is not None:
                     region = region.subtract([mbr])
             else:
@@ -204,6 +227,32 @@ class GranuleSet:
             if region.is_empty():
                 break
         return region
+
+    def loose_entries(self) -> List[Tuple[PageId, Rect]]:
+        """Node-local coverage check: the ``(page, entry rect)`` pairs that
+        stick out of the space their granules cover; empty iff none do.
+
+        A non-leaf entry's rect is the space its parent's external granule
+        leaves to the child, and the child's granules cover exactly the
+        child's MBR; a root entry must stay inside the universe the root's
+        external granule is cut from.  So an entry rect inside its child's
+        MBR everywhere leaves no gap in ``S`` -- what
+        :meth:`coverage_leftover` checks globally, at a cost linear in the
+        node count in any dimension.
+        """
+        loose: List[Tuple[PageId, Rect]] = []
+        tree = self.tree
+        universe = tree.config.universe
+        for node in tree.iter_nodes():
+            if node.is_leaf:
+                continue
+            is_root = node.page_id == tree.root_id
+            for entry in node.entries:
+                child_mbr = tree.pager.peek(entry.child_id).payload.mbr()  # type: ignore[union-attr]
+                inside = child_mbr is not None and child_mbr.contains(entry.rect)
+                if not inside or (is_root and not universe.contains(entry.rect)):
+                    loose.append((node.page_id, entry.rect))
+        return loose
 
     def granule_count(self) -> Tuple[int, int]:
         """(leaf granules, external granules) currently in the tree."""
@@ -217,12 +266,110 @@ class GranuleSet:
         return leaves, exts
 
 
-def ext_touches_degenerate(ext: Region, predicate: Rect) -> bool:
-    """Closed overlap fallback for measure-zero predicates (point queries).
+def _external_overlaps(
+    space: Rect,
+    children: Sequence[Rect],
+    predicate: Rect,
+    degenerate: bool,
+    out: Optional[List[Rect]],
+) -> bool:
+    """Does the external granule ``space − ⋃ children`` overlap the predicate?
 
-    A degenerate predicate has no interior, so the positive-measure test
-    can never pass; fall back to closed-box contact in that case.
+    A non-degenerate predicate needs positive-measure overlap, so the
+    sweep starts from ``predicate ∩ space``.  A degenerate one needs
+    closed contact, which a point on a child's face has with the granule
+    outside it, so the sweep starts from the whole ``space`` and keeps
+    the pieces touching the predicate: exactly
+    ``Region.difference(space, children).intersects(predicate)``.
     """
-    if not predicate.is_degenerate():
-        return False
-    return ext.intersects(predicate)
+    plo, phi = predicate.lo, predicate.hi
+    if degenerate:
+        if not space.intersects(predicate):
+            return False
+        return _leftover(list(space.lo), list(space.hi), children, 0, plo, phi, True, out)
+    lo = [b if b > a else a for a, b in zip(space.lo, plo)]
+    hi = [b if b < a else a for a, b in zip(space.hi, phi)]
+    for a, b in zip(lo, hi):
+        if a >= b:
+            return False
+    return _leftover(lo, hi, children, 0, plo, phi, False, out)
+
+
+def _leftover(
+    lo: List[float],
+    hi: List[float],
+    children: Sequence[Rect],
+    start: int,
+    plo: Coords,
+    phi: Coords,
+    closed: bool,
+    out: Optional[List[Rect]],
+) -> bool:
+    """Does the box ``[lo, hi]`` minus ``children[start:]`` keep a piece
+    the predicate ``[plo, phi]`` overlaps (closed contact when ``closed``,
+    else positive measure inside a box already clipped to the predicate)?
+
+    Splits the way :func:`repro.geometry.region._subtract_one` does, on
+    coordinate lists, and drops every piece the predicate misses before
+    splitting it further.  Returns on the first surviving piece, unless
+    ``out`` collects them all.  The box's lists are only read.
+    """
+    dim = len(lo)
+    for i in range(start, len(children)):
+        child = children[i]
+        ilo: List[float] = []
+        ihi: List[float] = []
+        for a_lo, a_hi, c_lo, c_hi in zip(lo, hi, child.lo, child.hi):
+            x = c_lo if c_lo > a_lo else a_lo
+            y = c_hi if c_hi < a_hi else a_hi
+            if x > y:
+                break
+            ilo.append(x)
+            ihi.append(y)
+        if len(ilo) < dim:
+            continue  # the child misses the box
+        if ilo == lo and ihi == hi:
+            return False  # the child covers the box
+        found = False
+        cur_lo = list(lo)
+        cur_hi = list(hi)
+        for axis in range(dim):
+            if cur_lo[axis] < ilo[axis]:
+                piece_hi = list(cur_hi)
+                piece_hi[axis] = ilo[axis]
+                if _kept(cur_lo, piece_hi, plo, phi, closed) and _leftover(
+                    cur_lo, piece_hi, children, i + 1, plo, phi, closed, out
+                ):
+                    if out is None:
+                        return True
+                    found = True
+            if ihi[axis] < cur_hi[axis]:
+                piece_lo = list(cur_lo)
+                piece_lo[axis] = ihi[axis]
+                if _kept(piece_lo, cur_hi, plo, phi, closed) and _leftover(
+                    piece_lo, cur_hi, children, i + 1, plo, phi, closed, out
+                ):
+                    if out is None:
+                        return True
+                    found = True
+            # Clamp this axis to the child's band before carving the next
+            # axis, so the pieces stay interior-disjoint.
+            cur_lo[axis] = ilo[axis]
+            cur_hi[axis] = ihi[axis]
+        return found
+    if out is not None:
+        out.append(Rect(lo, hi))
+    return True
+
+
+def _kept(lo: List[float], hi: List[float], plo: Coords, phi: Coords, closed: bool) -> bool:
+    """Does the predicate overlap the piece ``[lo, hi]``?"""
+    if closed:
+        for a, b, c, d in zip(lo, hi, plo, phi):
+            if b < c or d < a:
+                return False
+        return True
+    for a, b in zip(lo, hi):
+        if a >= b:
+            return False
+    return True

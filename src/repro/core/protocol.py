@@ -237,12 +237,6 @@ class GranuleLockProtocol:
         #: costs one attribute test per seam.
         self.tracer = None
 
-    @property
-    def geometry_cache(self):
-        """The granule-geometry cache the cover/overlap tests read through
-        (``None`` when the GranuleSet was built with ``use_cache=False``)."""
-        return self.granules.cache
-
     # ------------------------------------------------------------------
     # lock plumbing
     # ------------------------------------------------------------------

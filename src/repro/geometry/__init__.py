@@ -6,7 +6,7 @@ The granular locking protocol reasons about three geometric objects:
   nodes and the predicates of scan operations.
 * :class:`Region` -- a finite union of disjoint rectangles.  External
   granules (``T_s`` minus the union of the children of ``T``) are generally
-  not rectangular, so overlap tests against them need full region algebra.
+  not rectangular; a region materialises one as disjoint boxes.
 * helpers in :mod:`repro.geometry.ops` for enlargement, margin and overlap
   computations used by the R-tree split heuristics.
 """

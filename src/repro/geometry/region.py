@@ -1,9 +1,10 @@
 """Region algebra: finite unions of disjoint axis-aligned rectangles.
 
 External granules are generally non-rectangular: the external granule of a
-non-leaf node ``T`` is ``T_s − ⋃ children(T)``.  To decide whether a scan
-predicate or an object overlaps an external granule we materialise that
-difference as a :class:`Region` and intersect against it.
+non-leaf node ``T`` is ``T_s − ⋃ children(T)``.  :class:`Region` can
+materialise that difference; the lock path only asks whether a predicate
+overlaps it, and answers that without building it (see
+:mod:`repro.core.granules`).
 
 The representation keeps rectangles pairwise interior-disjoint (they may
 share boundaries).  Subtraction splits a rectangle into at most ``2d``

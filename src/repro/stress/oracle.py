@@ -21,14 +21,17 @@ Checks, in order:
    and first-touch operations must actually take their object lock.
 5. **Structural invariants** -- no leaked lock-table entries, no parked
    waiters left registered, the deferred-delete queue drained, granule
-   coverage without gaps, the geometry cache agreeing with fresh
-   computation, and the final tree contents equal to the replayed history.
+   coverage without gaps (globally, and node by node: no entry rect
+   sticking out of its child's MBR or the universe), the granule walk
+   agreeing with :func:`reference_overlapping` for the universe and every
+   scan predicate, and the final tree contents equal to the replayed
+   history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.concurrency.checker import (
     SerializabilityViolation,
@@ -36,7 +39,7 @@ from repro.concurrency.checker import (
     find_phantoms,
 )
 from repro.concurrency.history import History, OpKind
-from repro.core.granules import GranuleSet
+from repro.core.granules import GranuleRef, GranuleSet
 from repro.core.protocol import TABLE3_ALLOWED, TABLE3_REQUIRED_OBJ_MODE, Want
 from repro.geometry import Rect, Region
 from repro.lock.modes import LockDuration, LockMode, covers
@@ -181,10 +184,6 @@ def check_lock_patterns(records: Sequence[OpRecord]) -> List[Violation]:
 # 5. structural invariants
 # ---------------------------------------------------------------------------
 
-def _regions_equal(a: Region, b: Region) -> bool:
-    return a.subtract(b.parts).is_empty() and b.subtract(a.parts).is_empty()
-
-
 def check_structure(index, strategy) -> List[Violation]:
     """Post-run invariants over the index, lock table and wait strategy."""
     out: List[Violation] = []
@@ -217,24 +216,89 @@ def check_structure(index, strategy) -> List[Violation]:
         out.append(
             Violation("invariant", f"granule coverage has gaps: {gaps.parts!r}")
         )
-    # geometry cache vs fresh computation, over every live node
-    fresh = GranuleSet(index.tree, use_cache=False)
-    cached = index.granules
-    for node in index.tree.iter_nodes():
-        if cached.node_space(node) != fresh.node_space(node):
-            out.append(
-                Violation(
-                    "invariant",
-                    f"cached node_space stale for page {node.page_id}",
-                )
+    for page_id, entry_rect in index.granules.loose_entries():
+        out.append(
+            Violation(
+                "invariant",
+                f"entry {entry_rect!r} of page {page_id} sticks out of the "
+                "space its granules cover",
             )
-        if not node.is_leaf and not _regions_equal(
-            cached.external_region(node), fresh.external_region(node)
+        )
+    return out
+
+
+def reference_overlapping(granules: GranuleSet, predicate: Union[Rect, Region]) -> List[GranuleRef]:
+    """:meth:`GranuleSet.overlapping` the long way: build every visited
+    node's external region with ``Region.difference`` and intersect it.
+
+    Same walk, same refs in the same order (lock order drives the
+    schedule), without touching the pager's I/O accounting.
+    """
+    tree = granules.tree
+    parts = (predicate,) if isinstance(predicate, Rect) else predicate.parts
+    refs: List[GranuleRef] = []
+    if not parts:
+        return refs
+    root = tree.root(count_io=False)
+    if root.is_leaf:
+        return [GranuleRef(ResourceId.leaf(root.page_id), True, root.page_id)]
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        ext = granules.external_region(node)
+        if any(
+            ext.intersects_open(p) or (p.is_degenerate() and ext.intersects(p))
+            for p in parts
         ):
+            refs.append(GranuleRef(ResourceId.ext(node.page_id), False, node.page_id))
+        for entry in node.entries:
+            if not any(entry.rect.intersects(p) for p in parts):
+                continue
+            if node.level == 1:
+                refs.append(GranuleRef(ResourceId.leaf(entry.child_id), True, entry.child_id))
+            else:
+                stack.append(tree.node(entry.child_id, count_io=False))
+    return refs
+
+
+class _UncountedReads:
+    """A view of a tree whose node fetches skip I/O accounting, so the
+    post-run walk leaves the run's statistics and trace untouched."""
+
+    def __init__(self, tree) -> None:
+        self._tree = tree
+
+    def node(self, page_id, count_io: bool = True):
+        return self._tree.node(page_id, count_io=False)
+
+    def root(self, count_io: bool = True):
+        return self._tree.root(count_io=False)
+
+    def __getattr__(self, name: str):
+        return getattr(self._tree, name)
+
+
+def check_granule_walk(history: History, index, universe: Rect) -> List[Violation]:
+    """On the final tree, the lock path's granule walk must agree with
+    :func:`reference_overlapping` for the universe and for every scan
+    predicate in the history."""
+    predicates = [universe] + [
+        op.rect
+        for op in history.ops
+        if op.kind in (OpKind.READ_SCAN, OpKind.UPDATE_SCAN) and op.rect is not None
+    ]
+    granules = GranuleSet(_UncountedReads(index.tree))
+    out: List[Violation] = []
+    for predicate in dict.fromkeys(predicates):
+        got = granules.overlapping(predicate)
+        want = reference_overlapping(granules, predicate)
+        if got != want:
             out.append(
                 Violation(
                     "invariant",
-                    f"cached external region stale for page {node.page_id}",
+                    f"granule walk for {predicate!r} took "
+                    f"{[ref.resource for ref in got]}, reference "
+                    f"{[ref.resource for ref in want]}",
                 )
             )
     return out
@@ -299,5 +363,6 @@ def check_run(
     out.extend(find_lost_updates(history))
     out.extend(check_lock_patterns(records))
     out.extend(check_structure(index, strategy))
+    out.extend(check_granule_walk(history, index, universe))
     out.extend(check_final_state(history, index, universe))
     return out

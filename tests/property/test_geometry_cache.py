@@ -1,12 +1,11 @@
-"""Property-based tests for the versioned geometry cache.
+"""Granule geometry after random mutation sequences.
 
-The cache (``repro.core.geometry_cache``) serves node MBRs and external
-regions keyed by ``(page.version, is root)``.  Its one correctness
-obligation: after *any* interleaving of inserts, deletes, splits and
-root growth/shrink, a cached answer must be geometrically identical to
-the freshly computed one.  These tests drive random mutation sequences
-through a cached and an uncached :class:`GranuleSet` over the same tree
-and compare after every step.
+Granule geometry once came from a per-page cache; the walk now computes
+it on every call, and this test (which keeps its name) holds the
+long-lived :class:`GranuleSet` of one tree to the same obligation: after
+*any* interleaving of inserts, deletes, splits and root growth/shrink,
+its external regions equal a fresh ``Region.difference``, its walk
+equals the reference walk and its granules cover the universe.
 """
 
 import random
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.granules import GranuleSet
 from repro.geometry import Rect, Region
 from repro.rtree import RTree, RTreeConfig
+from repro.stress.oracle import reference_overlapping
 
 UNIT = Rect((0.0, 0.0), (1.0, 1.0))
 
@@ -27,35 +27,41 @@ def regions_equal(a: Region, b: Region) -> bool:
     return a.subtract(b.parts).is_empty() and b.subtract(a.parts).is_empty()
 
 
-def assert_cache_matches_fresh(cached: GranuleSet, fresh: GranuleSet) -> None:
-    tree = cached.tree
+def assert_geometry_matches_fresh(gs: GranuleSet, rng: random.Random) -> None:
+    tree = gs.tree
     for node in tree.iter_nodes():
         if node.is_leaf:
-            assert cached.node_mbr(node) == node.mbr()
-        else:
-            got = cached.external_region(node)
-            want = fresh.external_region(node)
-            assert regions_equal(got, want), (
-                f"stale cache for page {node.page_id}: {got.parts} != {want.parts}"
-            )
-        assert cached.node_space(node) == fresh.node_space(node)
+            continue
+        space = UNIT if node.page_id == tree.root_id else node.mbr()
+        got = gs.external_region(node)
+        want = Region.difference(space, node.child_rects())
+        assert regions_equal(got, want), (
+            f"wrong external region for page {node.page_id}: {got.parts} != {want.parts}"
+        )
+    for _ in range(6):
+        probe = random_rect(rng, spread=0.4)
+        assert gs.overlapping(probe) == reference_overlapping(gs, probe), probe
 
 
-def random_rect(rng: random.Random) -> Rect:
+def random_rect(rng: random.Random, spread: float = 0.08) -> Rect:
     x = rng.uniform(0.0, 0.95)
     y = rng.uniform(0.0, 0.95)
-    return Rect((x, y), (min(1.0, x + rng.uniform(0, 0.08)), min(1.0, y + rng.uniform(0, 0.08))))
+    return Rect(
+        (x, y), (min(1.0, x + rng.uniform(0, spread)), min(1.0, y + rng.uniform(0, spread)))
+    )
 
 
-def run_sequence(seed: int, n_ops: int, check_every_step: bool) -> None:
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cached_external_regions_match_fresh_difference(seed):
+    """Hypothesis-driven: ``external_region`` and the walk agree with a
+    fresh ``Region.difference`` after every random mutation."""
     rng = random.Random(seed)
     tree = RTree(RTreeConfig(max_entries=4, universe=UNIT))
-    cached = GranuleSet(tree)  # default: cache on
-    fresh = GranuleSet(tree, use_cache=False)
-    assert cached.cache is not None and fresh.cache is None
+    gs = GranuleSet(tree)
     model = {}
     next_oid = 0
-    for _ in range(n_ops):
+    for _ in range(40):
         if model and rng.random() < 0.4:
             oid = rng.choice(list(model))
             tree.delete(oid, model.pop(oid))
@@ -64,44 +70,5 @@ def run_sequence(seed: int, n_ops: int, check_every_step: bool) -> None:
             tree.insert(next_oid, r)
             model[next_oid] = r
             next_oid += 1
-        if check_every_step:
-            assert_cache_matches_fresh(cached, fresh)
-            assert cached.coverage_leftover().is_empty()
-    assert_cache_matches_fresh(cached, fresh)
-    assert cached.coverage_leftover().is_empty()
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_cached_external_regions_match_fresh_difference(seed):
-    """Hypothesis-driven: cached ``external_region`` ≡ fresh
-    ``Region.difference`` after every random mutation."""
-    run_sequence(seed, n_ops=40, check_every_step=True)
-
-
-def test_cache_invalidation_over_1k_random_sequences():
-    """The acceptance bar: 1000 independent random insert/delete/split
-    sequences, cache answers checked against fresh computation at the
-    end of each (and hence across every version bump in between)."""
-    for seed in range(1000):
-        run_sequence(seed, n_ops=12, check_every_step=False)
-
-
-def test_cache_is_actually_exercised():
-    """Guard against the cache silently disabling itself: repeated probes
-    of an unchanged tree must be served as hits."""
-    rng = random.Random(42)
-    tree = RTree(RTreeConfig(max_entries=4, universe=UNIT))
-    for oid in range(32):
-        tree.insert(oid, random_rect(rng))
-    gs = GranuleSet(tree)
-    probe = Rect((0.2, 0.2), (0.8, 0.8))
-    gs.overlapping(probe)
-    before = gs.cache.hits
-    gs.overlapping(probe)
-    assert gs.cache.hits > before
-    # a mutation bumps versions and must force recomputation
-    misses_before = gs.cache.misses
-    tree.insert(999, Rect((0.5, 0.5), (0.52, 0.52)))
-    gs.overlapping(probe)
-    assert gs.cache.misses > misses_before
+        assert_geometry_matches_fresh(gs, rng)
+        assert gs.coverage_leftover().is_empty()

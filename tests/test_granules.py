@@ -1,11 +1,14 @@
 """Unit tests for granule geometry (§3.1)."""
 
+import random
+
 import pytest
 
 from repro.core.granules import GranuleSet
 from repro.geometry import Rect, Region
 from repro.lock.resource import Namespace
 from repro.rtree import RTree, RTreeConfig
+from repro.rtree.entry import ChildEntry
 
 from tests.conftest import TEN, build_manual_tree, random_objects, rect
 
@@ -153,6 +156,7 @@ class TestCoverageInvariant:
             tree.insert(oid, r)
         gs = GranuleSet(tree)
         assert gs.coverage_leftover().is_empty()
+        assert gs.loose_entries() == []
 
     def test_coverage_after_deletions(self):
         tree = RTree(RTreeConfig(max_entries=5))
@@ -163,8 +167,42 @@ class TestCoverageInvariant:
             tree.delete(oid, r)
         gs = GranuleSet(tree)
         assert gs.coverage_leftover().is_empty()
+        assert gs.loose_entries() == []
 
     def test_granule_count(self):
         tree, _ = two_leaf_tree()
         gs = GranuleSet(tree)
         assert gs.granule_count() == (2, 1)
+
+    def test_local_check_flags_what_the_global_check_flags(self):
+        """Loosen one non-leaf entry past its child's MBR: the node-local
+        check flags every such tree, so in particular every one whose
+        loosening the global subtraction finds as a gap."""
+        global_flags = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            tree = RTree(RTreeConfig(max_entries=4))
+            for oid, r in random_objects(60, seed=seed, extent=0.1):
+                tree.insert(oid, r)
+            gs = GranuleSet(tree)
+            assert gs.loose_entries() == [] and gs.coverage_leftover().is_empty()
+            node = rng.choice([n for n in tree.iter_nodes() if not n.is_leaf])
+            i = rng.randrange(len(node.entries))
+            old = node.entries[i]
+            lo = [max(0.0, v - 0.2 * rng.random()) for v in old.rect.lo]
+            hi = [min(1.0, v + 0.2 * rng.random()) for v in old.rect.hi]
+            node.entries[i] = ChildEntry(Rect(lo, hi), old.child_id)
+            assert node.entries[i].rect != old.rect
+            if not gs.coverage_leftover().is_empty():
+                global_flags += 1
+            assert gs.loose_entries() == [(node.page_id, node.entries[i].rect)]
+        assert global_flags > 0, "no loosening opened a gap the global check sees"
+
+    def test_root_entry_outside_the_universe_is_flagged(self):
+        tree = RTree(RTreeConfig(max_entries=4))
+        for oid, r in random_objects(20, seed=1):
+            tree.insert(oid, r)
+        tree.insert("out", rect(0.9, 0.9, 1.5, 1.5))
+        root = tree.root(count_io=False)
+        (entry,) = [e for e in root.entries if e.rect.hi[0] > 1.0]
+        assert GranuleSet(tree).loose_entries() == [(root.page_id, entry.rect)]

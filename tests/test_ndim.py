@@ -49,7 +49,11 @@ class TestNDimensional:
         with index.transaction() as txn:
             for i in range(150):
                 index.insert(txn, i, random_box(rng, dim))
-        assert index.granules.coverage_leftover().is_empty()
+        assert index.granules.loose_entries() == []
+        if dim < 4:
+            # The global subtraction's cost explodes with the dimension
+            # (tens of seconds in 4-D); the local check above is exact.
+            assert index.granules.coverage_leftover().is_empty()
 
     def test_transactional_scan_protocol(self, dim):
         rng = random.Random(dim + 20)
