@@ -8,13 +8,11 @@ Runs a fixed suite and writes a JSON report with a stable schema
   32,000-object bulk-loaded tree: the lock-acquisition hot path.  One
   run (``after``, the configuration users run); there is no legacy
   switch left to measure a ``before`` with.
-* ``insert_throughput`` -- single-threaded transactional inserts, one
-  lock stripe (before) vs the default eight (after).  Guards against
-  the fast path taxing writers.
+* ``insert_throughput`` -- single-threaded transactional inserts.
+  Guards against the fast path taxing writers.  One run (``after``),
+  like ``scan_dgl``.
 * ``table2_overhead``  -- the paper's Table 2 additional-disk-access
   metric (unchanged by this layer; tracked to prove it).
-* ``lock_contention``  -- 8 threads hammering acquire/release on the
-  lock table, 1 stripe vs 8 stripes.
 * ``buffer_pool``      -- hit rate of a bounded LRU pool under the scan
   workload (exercises the single-lookup fetch fast path).
 * ``tracing_overhead`` -- the scan workload with the observability layer
@@ -41,14 +39,13 @@ import os
 import platform
 import random
 import sys
-import threading
 import time
 from typing import Dict, List, Tuple
 
 from repro.core import PhantomProtectedRTree
 from repro.experiments import measure_insertion_overhead
 from repro.geometry import Rect
-from repro.lock import LockManager, LockMode, ResourceId
+from repro.lock import LockManager
 from repro.lock.manager import SingleThreadedWait
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTreeConfig
@@ -69,12 +66,12 @@ def _rate(ops: int, seconds: float) -> float:
     return ops / seconds if seconds > 0 else float("inf")
 
 
-def _scan_index(n_objects: int, fanout: int, stripes: int) -> PhantomProtectedRTree:
-    """A DGL index over a bulk-loaded tree, striping as requested."""
+def _scan_index(n_objects: int, fanout: int) -> PhantomProtectedRTree:
+    """A DGL index over a bulk-loaded tree."""
     config = RTreeConfig(max_entries=fanout, universe=UNIVERSE)
     objects = paper_spatial_dataset(n_objects, seed=11)
     tree = bulk_load(objects, config)
-    lm = LockManager(wait_strategy=SingleThreadedWait(), stripes=stripes)
+    lm = LockManager(wait_strategy=SingleThreadedWait())
     index = PhantomProtectedRTree(config, lock_manager=lm)
     index.tree = tree
     index.protocol.tree = tree
@@ -97,7 +94,7 @@ def bench_scan_dgl(smoke: bool) -> Dict:
     n_scans = 40 if smoke else 400
     preds = _scan_predicates(n_scans, extent=0.05, seed=23)
 
-    index = _scan_index(n_objects, fanout=16, stripes=8)
+    index = _scan_index(n_objects, fanout=16)
 
     def body():
         total = 0
@@ -122,30 +119,23 @@ def bench_insert_throughput(smoke: bool) -> Dict:
     n_inserts = 400 if smoke else 4_000
     objects = paper_spatial_dataset(n_inserts, seed=31)
 
-    def run(stripes: int) -> Dict:
-        config = RTreeConfig(max_entries=16, universe=UNIVERSE)
-        lm = LockManager(wait_strategy=SingleThreadedWait(), stripes=stripes)
-        index = PhantomProtectedRTree(config, lock_manager=lm)
+    config = RTreeConfig(max_entries=16, universe=UNIVERSE)
+    lm = LockManager(wait_strategy=SingleThreadedWait())
+    index = PhantomProtectedRTree(config, lock_manager=lm)
 
-        def body():
-            for oid, rect in objects:
-                with index.transaction() as txn:
-                    index.insert(txn, oid, rect)
+    def body():
+        for oid, rect in objects:
+            with index.transaction() as txn:
+                index.insert(txn, oid, rect)
 
-        seconds, _ = _timed(body)
-        return {
+    seconds, _ = _timed(body)
+    return {
+        "params": {"n_inserts": n_inserts, "fanout": 16},
+        "after": {
             "seconds": round(seconds, 4),
             "inserts": n_inserts,
             "inserts_per_s": round(_rate(n_inserts, seconds), 1),
-        }
-
-    before = run(stripes=1)
-    after = run(stripes=8)
-    return {
-        "params": {"n_inserts": n_inserts, "fanout": 16},
-        "before": before,
-        "after": after,
-        "speedup": round(before["seconds"] / after["seconds"], 2),
+        },
     }
 
 
@@ -163,54 +153,6 @@ def bench_table2_overhead(smoke: bool) -> Dict:
         "params": {"n_objects": n_objects, "measured": measured, "fanout": 16},
         "height": row.height,
         "ada_per_level": {str(k): round(v, 3) for k, v in sorted(row.ada_per_level.items())},
-    }
-
-
-def bench_lock_contention(smoke: bool) -> Dict:
-    n_threads = 8
-    ops_per_thread = 500 if smoke else 5_000
-    resources = [ResourceId.leaf(pid) for pid in range(64)]
-
-    def run(stripes: int) -> Dict:
-        lm = LockManager(stripes=stripes)
-        errors: List[BaseException] = []
-
-        def worker(tid: int) -> None:
-            rng = random.Random(tid)
-            txn = f"t{tid}"
-            try:
-                for _ in range(ops_per_thread):
-                    res = resources[rng.randrange(len(resources))]
-                    lm.acquire(txn, res, LockMode.X)
-                    lm.release_all(txn)
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
-
-        def body():
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-        seconds, _ = _timed(body)
-        if errors:
-            raise errors[0]
-        total = n_threads * ops_per_thread
-        return {
-            "seconds": round(seconds, 4),
-            "ops": total,
-            "ops_per_s": round(_rate(total, seconds), 1),
-        }
-
-    before = run(stripes=1)
-    after = run(stripes=8)
-    return {
-        "params": {"threads": n_threads, "ops_per_thread": ops_per_thread, "resources": len(resources)},
-        "before": before,
-        "after": after,
-        "speedup": round(before["seconds"] / after["seconds"], 2),
     }
 
 
@@ -242,7 +184,7 @@ def bench_tracing_overhead(smoke: bool) -> Dict:
     preds = _scan_predicates(n_scans, extent=0.05, seed=23)
 
     def run(traced: bool) -> Dict:
-        index = _scan_index(n_objects, fanout=16, stripes=8)
+        index = _scan_index(n_objects, fanout=16)
         tracer = EventTracer() if traced else None
         if traced:
             instrument_index(index, tracer)
@@ -285,7 +227,6 @@ BENCHES = [
     ("scan_dgl", bench_scan_dgl),
     ("insert_throughput", bench_insert_throughput),
     ("table2_overhead", bench_table2_overhead),
-    ("lock_contention", bench_lock_contention),
     ("buffer_pool", bench_buffer_pool),
     ("tracing_overhead", bench_tracing_overhead),
 ]
@@ -353,7 +294,7 @@ def main(argv=None) -> int:
         seconds, result = _timed(bench, args.smoke)
         result["bench_seconds"] = round(seconds, 2)
         report["results"][name] = result
-        summary = {k: v for k, v in result.items() if k in ("speedup", "hit_rate", "overhead")}
+        summary = {k: v for k, v in result.items() if k in ("hit_rate", "overhead")}
         print(f"[bench] {name} done in {seconds:.1f}s {summary}", flush=True)
 
     with open(args.out, "w") as fh:

@@ -56,14 +56,11 @@ class SimulatedWait(WaitStrategy):
         return len(self._waiters)
 
     def wait(self, manager: LockManager, request: LockRequest, timeout: Optional[float]) -> None:
-        # Called with the request's stripe mutex held by this
-        # (baton-holding) thread.  Release it while parked so the process
-        # that will grant the lock can get in; the baton discipline
-        # guarantees nobody else touches the manager while we are actually
-        # running.  (Requests from managers without stripes -- the
-        # predicate-lock baseline -- fall back to the single mutex.)
-        stripe = getattr(request, "stripe", None)
-        mutex = stripe.mutex if stripe is not None else manager._mutex
+        # Called with the manager mutex held by this (baton-holding)
+        # thread.  Release it while parked so the process that will grant
+        # the lock can get in; the baton discipline guarantees nobody else
+        # touches the manager while we are actually running.
+        mutex = manager._mutex
         proc = self.sim.current()
         token = next(self._tokens)
         request.wait_token = token

@@ -5,25 +5,19 @@ conditional/unconditional requests, short/commit durations, waits-for
 deadlock detection, and optional event tracing (used by the Table 3
 verification tests to assert exactly which locks each operation takes).
 
-Concurrency model: the lock table is sharded by ``hash(resource)`` into
-``stripes`` independently-mutexed stripes, so requests against different
-granules never serialise on a common mutex.  Each stripe owns its
-resources' granted groups and wait queues, its share of the counters,
-plus a condition variable for threaded waits.  Transaction-level maps
-(short-duration holds, first-wait order) are only ever mutated by the
-owning transaction's thread via CPython-atomic dict operations, so the
-hot grant path takes exactly one mutex -- the stripe's.  The trace (off
-by default) is the one structure behind a separate registry lock, taken
-only after a stripe mutex, never before.
+Concurrency model: one lock table behind one re-entrant mutex.  The
+mutex guards every resource's granted group and wait queue, the
+per-transaction maps, the counters and the trace; a condition variable
+on it serves threaded waits.  Deadlock detection runs inside
+``acquire`` with the mutex still held, so the waits-for graph is always
+a consistent snapshot of the whole table.
 
-Deadlock detection needs a global view: the waits-for graph is built
-from a snapshot taken while holding every stripe mutex in canonical
-(index) order.  A thread never requests that global snapshot while
-holding a single stripe mutex -- ``acquire`` enqueues, releases its
-stripe, runs detection, then re-locks the stripe to wait -- so stripe
-acquisition is always either "one stripe" or "all stripes in order" and
-the manager cannot deadlock against itself.  ``stripes=1`` degenerates
-to the classic single-mutex lock manager.
+Every order that decides who wakes first is canonical and
+process-independent: ``release_all`` and ``end_operation`` process
+queues in :func:`_resource_order`, and the deadlock sweep and the
+waits-for graph visit resources in lock-table insertion order.  Replays
+and trace artifacts are therefore byte-identical across interpreter
+invocations.
 
 Waiting is delegated to a pluggable :class:`WaitStrategy` so the same
 manager serves three execution modes -- single-threaded (waits are
@@ -37,9 +31,8 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lock.modes import LockDuration, LockMode, compatible, supremum
 from repro.lock.resource import ResourceId
@@ -51,9 +44,6 @@ def _resource_order(resource: ResourceId) -> Tuple[str, str]:
     return (resource.namespace.value, repr(resource.key))
 
 TxnId = Hashable
-
-#: default stripe count (overridable per manager)
-DEFAULT_STRIPES = 8
 
 
 class LockError(Exception):
@@ -102,9 +92,6 @@ class LockRequest:
     seq: int
     status: RequestStatus = RequestStatus.WAITING
     error: Optional[LockError] = None
-    #: the lock-table stripe this request waits in (set at enqueue time);
-    #: wait strategies block on this stripe's mutex/condition
-    stripe: Optional["_Stripe"] = field(default=None, repr=False, compare=False)
     #: monotonic token set by a parked wait strategy while registered
     #: (see :mod:`repro.concurrency.waits`); ``None`` when not parked
     wait_token: Optional[int] = field(default=None, repr=False, compare=False)
@@ -174,27 +161,6 @@ class _LockHead:
         self.queue: List[LockRequest] = []
 
 
-class _Stripe:
-    """One shard of the lock table: its resources plus their mutex.
-
-    Counters (``waiters``, ``acq_counts``, ``wait_count``) are updated
-    under the stripe mutex; readers sum across stripes without locking,
-    which is sound under the GIL's sequentially consistent int/dict ops.
-    """
-
-    __slots__ = ("index", "mutex", "cond", "heads", "waiters", "acq_counts", "wait_count")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.mutex = threading.RLock()
-        self.cond = threading.Condition(self.mutex)
-        self.heads: Dict[ResourceId, _LockHead] = {}
-        #: requests currently sitting in this stripe's wait queues
-        self.waiters = 0
-        self.acq_counts: Dict[str, int] = {}
-        self.wait_count = 0
-
-
 class WaitStrategy:
     """How a transaction physically waits for a lock grant."""
 
@@ -222,19 +188,10 @@ class SingleThreadedWait(WaitStrategy):
 
 
 class ThreadedWait(WaitStrategy):
-    """Real blocking on the request's stripe condition variable.
-
-    Requests from managers without stripes (the predicate-lock baseline
-    duck-types this surface) fall back to the manager's single ``_cond``.
-    """
-
-    @staticmethod
-    def _cond_of(manager, request) -> threading.Condition:
-        stripe = getattr(request, "stripe", None)
-        return stripe.cond if stripe is not None else manager._cond
+    """Real blocking on the manager's condition variable (``_cond``)."""
 
     def wait(self, manager: "LockManager", request: LockRequest, timeout: Optional[float]) -> None:
-        cond = self._cond_of(manager, request)
+        cond = manager._cond
         deadline = None if timeout is None else manager._clock() + timeout
         while request.status is RequestStatus.WAITING:
             remaining = None if deadline is None else max(0.0, deadline - manager._clock())
@@ -243,7 +200,7 @@ class ThreadedWait(WaitStrategy):
                 return
 
     def notify(self, manager: "LockManager", request: LockRequest) -> None:
-        self._cond_of(manager, request).notify_all()
+        manager._cond.notify_all()
 
 
 class LockManager:
@@ -252,87 +209,43 @@ class LockManager:
     def __init__(
         self,
         wait_strategy: Optional[WaitStrategy] = None,
-        victim_selector: Optional[Callable[[Tuple[TxnId, ...]], TxnId]] = None,
         trace: bool = False,
-        stripes: int = DEFAULT_STRIPES,
         wait_observer: Optional[Callable[[str, LockRequest], None]] = None,
     ) -> None:
-        if stripes < 1:
-            raise ValueError("stripes must be >= 1")
         self.wait_strategy: WaitStrategy = wait_strategy or ThreadedWait()
         #: stress-visible wait events: called with ("enqueue" | "grant" |
         #: "abort" | "timeout", request).  The request carries the waiter's
         #: identity (txn id, resource, mode), so observers never have to
-        #: reverse-engineer context.  Invoked under a stripe mutex --
+        #: reverse-engineer context.  Invoked under the manager mutex --
         #: observers must only record, never block or re-enter the manager.
         self.wait_observer = wait_observer
         #: observability sink (see :mod:`repro.obs`): called as
         #: ``sink(event_type, **fields)`` for immediate lock decisions and
         #: releases -- the events wait observers never see.  ``None``
         #: (default) costs one attribute test per decision.  Like the wait
-        #: observer it may run under a stripe mutex: record only.
+        #: observer it runs under the manager mutex: record only.
         self.obs_sink: Optional[Callable[..., None]] = None
-        self._stripes: List[_Stripe] = [_Stripe(i) for i in range(stripes)]
-        #: guards the trace only; lock order is always stripe mutex(es)
-        #: first, registry last
-        self._registry = threading.Lock()
-        #: txn -> list of (resource, mode) short-duration holds, release
-        #: order.  Each entry is only touched by its transaction's own
-        #: thread (dict-level ops are CPython-atomic), so no lock.
+        self._mutex = threading.RLock()
+        self._cond = threading.Condition(self._mutex)
+        #: resource -> granted group and wait queue, in first-lock order
+        self._heads: Dict[ResourceId, _LockHead] = {}
+        #: requests currently sitting in some wait queue
+        self._queued = 0
+        #: txn -> list of (resource, mode) short-duration holds, release order
         self._short_holds: Dict[TxnId, List[Tuple[ResourceId, LockMode]]] = {}
-        #: txn -> first-wait sequence number, for default victim selection
+        #: txn -> first-wait sequence number, for victim selection
         self._txn_order: Dict[TxnId, int] = {}
         #: txn -> resources it ever touched (granted or queued), so
-        #: ``release_all`` visits only the stripes that can hold its state.
-        #: Same single-writer/GIL discipline as ``_short_holds``.
+        #: ``release_all`` visits only the heads that can hold its state
         self._txn_resources: Dict[TxnId, Set[ResourceId]] = {}
         self._seq = itertools.count()
-        self._victim_selector = victim_selector
         self.tracing = trace
         self.trace: List[LockEvent] = []
-        #: incremented under *all* stripe mutexes (deadlock resolution)
+        #: granted acquisitions by mode name
+        self.acquisition_counts: Dict[str, int] = {}
+        #: how many requests have had to wait
+        self.wait_count = 0
         self.deadlock_count = 0
-
-    @property
-    def acquisition_counts(self) -> Dict[str, int]:
-        """Granted acquisitions by mode name, summed across stripes."""
-        out: Dict[str, int] = {}
-        for stripe in self._stripes:
-            for mode, count in stripe.acq_counts.items():
-                out[mode] = out.get(mode, 0) + count
-        return out
-
-    @property
-    def wait_count(self) -> int:
-        """How many requests have had to wait, summed across stripes."""
-        return sum(stripe.wait_count for stripe in self._stripes)
-
-    @property
-    def stripe_count(self) -> int:
-        return len(self._stripes)
-
-    def _stripe_of(self, resource: ResourceId) -> _Stripe:
-        stripes = self._stripes
-        if len(stripes) == 1:
-            return stripes[0]
-        return stripes[hash(resource) % len(stripes)]
-
-    @contextmanager
-    def _all_stripes(self) -> Iterator[None]:
-        """Hold every stripe mutex, acquired in canonical (index) order."""
-        for stripe in self._stripes:
-            stripe.mutex.acquire()
-        try:
-            yield
-        finally:
-            for stripe in reversed(self._stripes):
-                stripe.mutex.release()
-
-    def _iter_heads_locked(self) -> Iterator[Tuple[_Stripe, ResourceId, _LockHead]]:
-        """Every (stripe, resource, head); caller holds all stripe mutexes."""
-        for stripe in self._stripes:
-            for resource, head in list(stripe.heads.items()):
-                yield stripe, resource, head
 
     @staticmethod
     def _clock() -> float:
@@ -360,14 +273,13 @@ class LockManager:
         the wait strategy and may raise :class:`DeadlockError` /
         :class:`LockTimeout`.
         """
-        stripe = self._stripe_of(resource)
-        with stripe.mutex:
-            head = stripe.heads.setdefault(resource, _LockHead())
+        with self._mutex:
+            head = self._heads.setdefault(resource, _LockHead())
             held = head.granted.get(txn_id)
             conversion = held is not None and not held.empty()
 
             if self._grantable(head, txn_id, mode, conversion):
-                self._grant(stripe, head, txn_id, resource, mode, duration)
+                self._grant(head, txn_id, resource, mode, duration)
                 self._record(txn_id, resource, mode, duration, granted=True, waited=False)
                 return True
 
@@ -378,7 +290,7 @@ class LockManager:
             # Victim selection needs a begin-ish order for every *waiting*
             # transaction; record it before the request becomes visible.
             if txn_id not in self._txn_order:
-                self._txn_order.setdefault(txn_id, next(self._seq))
+                self._txn_order[txn_id] = next(self._seq)
             self._txn_resources.setdefault(txn_id, set()).add(resource)
             request = LockRequest(
                 txn_id=txn_id,
@@ -387,20 +299,15 @@ class LockManager:
                 duration=duration,
                 conversion=conversion,
                 seq=next(self._seq),
-                stripe=stripe,
             )
             self._enqueue(head, request)
-            stripe.wait_count += 1
+            self.wait_count += 1
             self._observe("enqueue", request)
-        # Deadlock detection takes a global snapshot under *all* stripe
-        # mutexes; it must run with our single stripe mutex released so
-        # canonical acquisition order is preserved.  A cycle needs at
-        # least two waiting requests (ours included), so the common
-        # lone-waiter case skips the sweep entirely; any later waiter
-        # that completes a cycle runs its own detection and sees us.
-        if sum(s.waiters for s in self._stripes) >= 2:
-            self._resolve_deadlocks()
-        with stripe.mutex:
+            # A cycle needs at least two waiting requests (ours included),
+            # so the common lone-waiter case skips the sweep entirely; any
+            # later waiter that completes a cycle runs its own detection.
+            if self._queued >= 2:
+                self._resolve_deadlocks()
             if request.status is RequestStatus.WAITING:
                 try:
                     self.wait_strategy.wait(self, request, timeout)
@@ -427,9 +334,8 @@ class LockManager:
         duration: LockDuration,
     ) -> None:
         """Release one previously granted (mode, duration) unit."""
-        stripe = self._stripe_of(resource)
-        with stripe.mutex:
-            head = stripe.heads.get(resource)
+        with self._mutex:
+            head = self._heads.get(resource)
             held = head.granted.get(txn_id) if head else None
             if held is None:
                 raise LockError(f"{txn_id!r} holds nothing on {resource!r}")
@@ -442,16 +348,16 @@ class LockManager:
                     pass
             if held.empty():
                 del head.granted[txn_id]
-            self._process_queue(stripe, head)
-        sink = self.obs_sink
-        if sink is not None:
-            sink(
-                "lock.release",
-                txn=txn_id,
-                resource=repr(resource),
-                mode=mode.value,
-                duration=duration.value,
-            )
+            self._process_queue(head)
+            sink = self.obs_sink
+            if sink is not None:
+                sink(
+                    "lock.release",
+                    txn=txn_id,
+                    resource=repr(resource),
+                    mode=mode.value,
+                    duration=duration.value,
+                )
 
     def end_operation(self, txn_id: TxnId) -> None:
         """Release every short-duration lock the transaction holds.
@@ -460,73 +366,57 @@ class LockManager:
         modification; the protocol layer calls this in a ``finally`` as
         each Insert/Delete/Scan operation completes.
         """
-        shorts = self._short_holds.pop(txn_id, [])
-        sink = self.obs_sink
-        if sink is not None and shorts:
-            sink(
-                "lock.end_op",
-                txn=txn_id,
-                resources=[[repr(resource), mode.value] for resource, mode in shorts],
-            )
-        by_stripe: Dict[int, Set[ResourceId]] = {}
-        for resource, _mode in shorts:
-            by_stripe.setdefault(self._stripe_of(resource).index, set()).add(resource)
-        for stripe_idx in sorted(by_stripe):
-            stripe = self._stripes[stripe_idx]
-            with stripe.mutex:
-                touched: Set[ResourceId] = set()
-                for resource in by_stripe[stripe_idx]:
-                    head = stripe.heads.get(resource)
-                    if head is None:
-                        continue
-                    held = head.granted.get(txn_id)
-                    if held is None:
-                        continue
-                    held.drop_duration(LockDuration.SHORT)
-                    if held.empty():
-                        del head.granted[txn_id]
-                    touched.add(resource)
-                # Canonical order: set iteration is hash-randomised per
-                # process, and the queue-processing order decides which
-                # waiter wakes first -- sorting keeps replays (and trace
-                # artifacts) identical across interpreter invocations.
-                for resource in sorted(touched, key=_resource_order):
-                    self._process_queue(stripe, stripe.heads[resource])
+        with self._mutex:
+            shorts = self._short_holds.pop(txn_id, [])
+            if not shorts:
+                return
+            sink = self.obs_sink
+            if sink is not None:
+                sink(
+                    "lock.end_op",
+                    txn=txn_id,
+                    resources=[[repr(resource), mode.value] for resource, mode in shorts],
+                )
+            touched: Set[ResourceId] = set()
+            for resource, _mode in shorts:
+                head = self._heads[resource]
+                held = head.granted.get(txn_id)
+                if held is None:
+                    continue
+                held.drop_duration(LockDuration.SHORT)
+                if held.empty():
+                    del head.granted[txn_id]
+                touched.add(resource)
+            # Canonical order: set iteration is hash-randomised per
+            # process, and the queue-processing order decides which
+            # waiter wakes first -- sorting keeps replays (and trace
+            # artifacts) identical across interpreter invocations.
+            for resource in sorted(touched, key=_resource_order):
+                self._process_queue(self._heads[resource])
 
     def release_all(self, txn_id: TxnId) -> None:
         """Release everything at commit/rollback; cancels pending waits."""
-        self._short_holds.pop(txn_id, None)
-        touched = self._txn_resources.pop(txn_id, ())
-        by_stripe: Dict[int, List[ResourceId]] = {}
-        for resource in touched:
-            by_stripe.setdefault(self._stripe_of(resource).index, []).append(resource)
-        for stripe_idx in sorted(by_stripe):
-            stripe = self._stripes[stripe_idx]
-            with stripe.mutex:
-                # Same canonical order as end_operation: the _txn_resources
-                # sets iterate in per-process hash order otherwise.
-                for resource in sorted(by_stripe[stripe_idx], key=_resource_order):
-                    head = stripe.heads.get(resource)
-                    if head is None:
-                        continue
-                    changed = False
-                    if txn_id in head.granted:
-                        del head.granted[txn_id]
+        with self._mutex:
+            self._short_holds.pop(txn_id, None)
+            # Same canonical order as end_operation: the _txn_resources
+            # sets iterate in per-process hash order otherwise.
+            for resource in sorted(self._txn_resources.pop(txn_id, ()), key=_resource_order):
+                head = self._heads[resource]
+                changed = head.granted.pop(txn_id, None) is not None
+                for request in list(head.queue):
+                    if request.txn_id == txn_id:
+                        self._dequeue(head, request)
+                        request.status = RequestStatus.ABORTED
+                        request.error = LockError(f"transaction {txn_id!r} terminated")
+                        self._observe("abort", request)
+                        self.wait_strategy.notify(self, request)
                         changed = True
-                    for request in list(head.queue):
-                        if request.txn_id == txn_id:
-                            self._dequeue(head, request)
-                            request.status = RequestStatus.ABORTED
-                            request.error = LockError(f"transaction {txn_id!r} terminated")
-                            self._observe("abort", request)
-                            self.wait_strategy.notify(self, request)
-                            changed = True
-                    if changed:
-                        self._process_queue(stripe, head)
-        self._txn_order.pop(txn_id, None)
-        sink = self.obs_sink
-        if sink is not None:
-            sink("lock.release_all", txn=txn_id)
+                if changed:
+                    self._process_queue(head)
+            self._txn_order.pop(txn_id, None)
+            sink = self.obs_sink
+            if sink is not None:
+                sink("lock.release_all", txn=txn_id)
 
     # ------------------------------------------------------------------
     # inspection
@@ -534,25 +424,22 @@ class LockManager:
 
     def held_mode(self, txn_id: TxnId, resource: ResourceId) -> Optional[LockMode]:
         """The transaction's effective mode on ``resource`` (None if none)."""
-        stripe = self._stripe_of(resource)
-        with stripe.mutex:
-            head = stripe.heads.get(resource)
+        with self._mutex:
+            head = self._heads.get(resource)
             held = head.granted.get(txn_id) if head else None
             return held.effective() if held else None
 
     def held_commit_mode(self, txn_id: TxnId, resource: ResourceId) -> Optional[LockMode]:
         """Effective mode counting only commit-duration holds."""
-        stripe = self._stripe_of(resource)
-        with stripe.mutex:
-            head = stripe.heads.get(resource)
+        with self._mutex:
+            head = self._heads.get(resource)
             held = head.granted.get(txn_id) if head else None
             return held.effective_for(LockDuration.COMMIT) if held else None
 
     def holders(self, resource: ResourceId) -> Dict[TxnId, LockMode]:
         """Current holders and their effective modes."""
-        stripe = self._stripe_of(resource)
-        with stripe.mutex:
-            head = stripe.heads.get(resource)
+        with self._mutex:
+            head = self._heads.get(resource)
             if head is None:
                 return {}
             return {
@@ -570,50 +457,33 @@ class LockManager:
         inserter only traverses an overlapping path when somebody actually
         holds a conflicting (S/SIX) lock there.
         """
-        skip = set(ignore)
-        stripe = self._stripe_of(resource)
-        with stripe.mutex:
-            head = stripe.heads.get(resource)
-            if head is None:
-                return False
-            for txn, held in head.granted.items():
-                if txn in skip:
-                    continue
-                effective = held.effective()
-                if effective is not None and not compatible(mode, effective):
-                    return True
-            return False
+        with self._mutex:
+            head = self._heads.get(resource)
+            return head is not None and any(_conflicting_holders(head, mode, set(ignore)))
 
     def locks_of(self, txn_id: TxnId) -> Dict[ResourceId, Dict[Tuple[LockMode, LockDuration], int]]:
         """Everything the transaction currently holds (for tests/traces)."""
         out: Dict[ResourceId, Dict[Tuple[LockMode, LockDuration], int]] = {}
-        for stripe in self._stripes:
-            with stripe.mutex:
-                for resource, head in stripe.heads.items():
-                    held = head.granted.get(txn_id)
-                    if held and not held.empty():
-                        out[resource] = dict(held.counts)
+        with self._mutex:
+            for resource, head in self._heads.items():
+                held = head.granted.get(txn_id)
+                if held and not held.empty():
+                    out[resource] = dict(held.counts)
         return out
 
     def waiting_requests(self) -> List[LockRequest]:
         """Every request currently queued, across all resources."""
-        out: List[LockRequest] = []
-        for stripe in self._stripes:
-            with stripe.mutex:
-                out.extend(r for head in stripe.heads.values() for r in head.queue)
-        return out
+        with self._mutex:
+            return [r for head in self._heads.values() for r in head.queue]
 
     # ------------------------------------------------------------------
-    # internals (stripe mutex held)
+    # internals (manager mutex held)
     # ------------------------------------------------------------------
 
-    def _grantable(self, head: _LockHead, txn_id: TxnId, mode: LockMode, conversion: bool) -> bool:
-        for other, held in head.granted.items():
-            if other == txn_id:
-                continue
-            effective = held.effective()
-            if effective is not None and not compatible(mode, effective):
-                return False
+    @staticmethod
+    def _grantable(head: _LockHead, txn_id: TxnId, mode: LockMode, conversion: bool) -> bool:
+        if any(_conflicting_holders(head, mode, (txn_id,))):
+            return False
         if conversion:
             # Conversions bypass the queue (standard practice: the holder
             # already participates in the granted group; queueing it behind
@@ -624,7 +494,6 @@ class LockManager:
 
     def _grant(
         self,
-        stripe: _Stripe,
         head: _LockHead,
         txn_id: TxnId,
         resource: ResourceId,
@@ -636,7 +505,7 @@ class LockManager:
         if duration is LockDuration.SHORT:
             self._short_holds.setdefault(txn_id, []).append((resource, mode))
         self._txn_resources.setdefault(txn_id, set()).add(resource)
-        counts = stripe.acq_counts
+        counts = self.acquisition_counts
         counts[mode.value] = counts.get(mode.value, 0) + 1
 
     def _enqueue(self, head: _LockHead, request: LockRequest) -> None:
@@ -648,15 +517,13 @@ class LockManager:
             head.queue.insert(idx, request)
         else:
             head.queue.append(request)
-        request.stripe.waiters += 1  # type: ignore[union-attr]
+        self._queued += 1
 
-    @staticmethod
-    def _dequeue(head: _LockHead, request: LockRequest) -> None:
+    def _dequeue(self, head: _LockHead, request: LockRequest) -> None:
         head.queue.remove(request)
-        if request.stripe is not None:
-            request.stripe.waiters -= 1
+        self._queued -= 1
 
-    def _process_queue(self, stripe: _Stripe, head: _LockHead) -> None:
+    def _process_queue(self, head: _LockHead) -> None:
         """Grant newly compatible waiters, conversions first then FIFO."""
         made_progress = True
         while made_progress:
@@ -664,19 +531,9 @@ class LockManager:
             for request in list(head.queue):
                 held = head.granted.get(request.txn_id)
                 conversion = held is not None and not held.empty()
-                ok = True
-                for other, other_held in head.granted.items():
-                    if other == request.txn_id:
-                        continue
-                    effective = other_held.effective()
-                    if effective is not None and not compatible(request.mode, effective):
-                        ok = False
-                        break
-                if ok:
+                if not any(_conflicting_holders(head, request.mode, (request.txn_id,))):
                     self._dequeue(head, request)
-                    self._grant(
-                        stripe, head, request.txn_id, request.resource, request.mode, request.duration
-                    )
+                    self._grant(head, request.txn_id, request.resource, request.mode, request.duration)
                     request.status = RequestStatus.GRANTED
                     self._observe("grant", request)
                     self.wait_strategy.notify(self, request)
@@ -691,26 +548,15 @@ class LockManager:
     # ------------------------------------------------------------------
 
     def build_waits_for(self) -> Dict[TxnId, Set[TxnId]]:
-        """The waits-for graph from a global snapshot of all stripes.
-
-        Stripe mutexes are taken in canonical order (re-entrantly when
-        the caller already holds them all, as deadlock resolution does).
-        """
-        with self._all_stripes():
+        """The waits-for graph implied by the current queues."""
+        with self._mutex:
             return self._waits_for_locked()
 
     def _waits_for_locked(self) -> Dict[TxnId, Set[TxnId]]:
-        """The waits-for graph implied by current queues (all stripes held)."""
         graph: Dict[TxnId, Set[TxnId]] = {}
-        for _stripe, _resource, head in self._iter_heads_locked():
+        for head in self._heads.values():
             for idx, request in enumerate(head.queue):
-                blockers: Set[TxnId] = set()
-                for other, held in head.granted.items():
-                    if other == request.txn_id:
-                        continue
-                    effective = held.effective()
-                    if effective is not None and not compatible(request.mode, effective):
-                        blockers.add(other)
+                blockers = set(_conflicting_holders(head, request.mode, (request.txn_id,)))
                 # Earlier incompatible waiters also block (FIFO order).
                 for earlier in head.queue[:idx]:
                     if earlier.txn_id != request.txn_id and not compatible(
@@ -722,30 +568,20 @@ class LockManager:
         return graph
 
     def _resolve_deadlocks(self) -> None:
-        """Abort victims until the waits-for graph is acyclic.
-
-        Must be called with *no* stripe mutex held: the global snapshot
-        acquires every stripe in canonical order.
-        """
+        """Abort the youngest participant of each cycle until the waits-for
+        graph is acyclic."""
         while True:
-            with self._all_stripes():
-                graph = self._waits_for_locked()
-                cycle = _find_cycle(graph)
-                if cycle is None:
-                    return
-                self.deadlock_count += 1  # guarded by holding all stripes
-                order = dict(self._txn_order)  # PyDict_Copy is GIL-atomic
-                if self._victim_selector is not None:
-                    victim = self._victim_selector(tuple(cycle))
-                else:
-                    # Default: abort the youngest participant (largest begin seq).
-                    victim = max(cycle, key=lambda t: order.get(t, -1))
-                self._abort_waiter(victim, tuple(cycle))
+            cycle = _find_cycle(self._waits_for_locked())
+            if cycle is None:
+                return
+            self.deadlock_count += 1
+            victim = max(cycle, key=lambda t: self._txn_order.get(t, -1))
+            self._abort_waiter(victim, tuple(cycle))
 
     def _abort_waiter(self, victim: TxnId, cycle: Tuple[TxnId, ...]) -> None:
-        """Cancel the victim's waits (all stripe mutexes held)."""
+        """Cancel the victim's waits, then re-process every queue."""
         error = DeadlockError(victim, cycle)
-        for _stripe, _resource, head in self._iter_heads_locked():
+        for head in list(self._heads.values()):
             for request in list(head.queue):
                 if request.txn_id == victim:
                     self._dequeue(head, request)
@@ -754,15 +590,14 @@ class LockManager:
                     self._observe("abort", request)
                     self.wait_strategy.notify(self, request)
         # Whatever queue the victim vacated may now be grantable.
-        for stripe, _resource, head in self._iter_heads_locked():
-            self._process_queue(stripe, head)
+        for head in list(self._heads.values()):
+            self._process_queue(head)
 
     def _timeout_request(self, request: LockRequest) -> None:
-        stripe = request.stripe or self._stripe_of(request.resource)
-        head = stripe.heads.get(request.resource)
+        head = self._heads.get(request.resource)
         if head is not None and request in head.queue:
             self._dequeue(head, request)
-            self._process_queue(stripe, head)
+            self._process_queue(head)
         if request.status is RequestStatus.WAITING:
             request.status = RequestStatus.DENIED
             self._observe("timeout", request)
@@ -776,7 +611,7 @@ class LockManager:
     # ------------------------------------------------------------------
 
     def outstanding(self) -> Tuple[int, int]:
-        """(granted holds, queued requests) across all stripes.
+        """(granted holds, queued requests) across the whole table.
 
         After every transaction has terminated both numbers must be zero;
         the stress harness asserts this as a post-run invariant (a leaked
@@ -784,11 +619,10 @@ class LockManager:
         """
         holds = 0
         queued = 0
-        for stripe in self._stripes:
-            with stripe.mutex:
-                for head in stripe.heads.values():
-                    holds += sum(1 for held in head.granted.values() if not held.empty())
-                    queued += len(head.queue)
+        with self._mutex:
+            for head in self._heads.values():
+                holds += sum(1 for held in head.granted.values() if not held.empty())
+                queued += len(head.queue)
         return holds, queued
 
     # ------------------------------------------------------------------
@@ -816,8 +650,7 @@ class LockManager:
                 waited=waited,
             )
         if self.tracing:
-            with self._registry:
-                self.trace.append(LockEvent(txn_id, resource, mode, duration, granted, waited))
+            self.trace.append(LockEvent(txn_id, resource, mode, duration, granted, waited))
 
     def clear_trace(self) -> None:
         """Drop recorded lock events (tracing stays on)."""
@@ -826,6 +659,17 @@ class LockManager:
     def total_acquisitions(self) -> int:
         """Locks granted since construction (any mode, any duration)."""
         return sum(self.acquisition_counts.values())
+
+
+def _conflicting_holders(head: _LockHead, mode: LockMode, skip: Collection[TxnId]) -> Iterator[TxnId]:
+    """Holders of ``head`` (except those in ``skip``) whose effective mode
+    is incompatible with ``mode``."""
+    for other, held in head.granted.items():
+        if other in skip:
+            continue
+        effective = held.effective()
+        if effective is not None and not compatible(mode, effective):
+            yield other
 
 
 def _find_cycle(graph: Dict[TxnId, Set[TxnId]]) -> Optional[List[TxnId]]:

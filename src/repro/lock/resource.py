@@ -39,14 +39,13 @@ _NS_SALT = {}
 class ResourceId:
     """A purely physical lock name: ``(namespace, key)``.
 
-    Hashing is on the hot path (the striped lock table shards by
-    ``hash(resource)`` and every lock-table dict is keyed by it), so the
-    hash is computed once in ``__post_init__`` and memoised.  It is also
-    *process-independent* (CRC of the canonical repr, not Python's
-    per-process-randomised string/enum hashing): stripe assignment --
-    and therefore wake-up and deadlock-victim ordering under contention
-    -- must not change between interpreter invocations, or replays and
-    trace artifacts stop being byte-stable.
+    Hashing is on the hot path (every lock-table dict and resource set
+    is keyed by it), so the hash is computed once in ``__post_init__``
+    and memoised.  It is also *process-independent* (CRC of the
+    canonical repr, not Python's per-process-randomised string/enum
+    hashing), so the layout of those dicts and sets -- and any order
+    read off them -- does not change between interpreter invocations,
+    keeping replays and trace artifacts byte-stable.
     """
 
     namespace: Namespace

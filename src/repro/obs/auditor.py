@@ -43,7 +43,7 @@ the order a failing event trips them:
 
 The auditor is stateless about geometry -- it never touches the tree, the
 lock manager, or any mutex -- so it is safe to run from the tracer's sink
-position (which may be under a lock-manager stripe mutex) and costs a few
+position (which may be under the lock-manager mutex) and costs a few
 dict operations per event.
 
 Flight-recorder mode (:class:`FlightRecorder`) pairs the auditor with a

@@ -61,7 +61,7 @@ class Instrumentation:
         emit = tracer.emit
 
         def observer(event: str, request) -> None:
-            # Called under a stripe mutex: record only, never block.
+            # Called under the manager mutex: record only, never block.
             emit(
                 "lock." + event,
                 txn=request.txn_id,

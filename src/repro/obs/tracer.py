@@ -143,7 +143,7 @@ class EventTracer:
         #: the completed event dict, synchronously, *before* the ring can
         #: overwrite it -- a sink therefore sees every event even when the
         #: ring wraps.  Sinks must only record, never block or re-enter
-        #: the lock manager (they may run under a stripe mutex).
+        #: the lock manager (they may run under the manager mutex).
         self.sinks: List[Callable[[Dict[str, object]], None]] = []
         self._seq = itertools.count()
 

@@ -211,7 +211,7 @@ def run_stress(
     wait_events: Dict[str, int] = {}
 
     def observe(event: str, request) -> None:
-        # called under the stripe mutex: record only, never block
+        # called under the manager mutex: record only, never block
         wait_events[event] = wait_events.get(event, 0) + 1
 
     lm = LockManager(wait_strategy=strategy, wait_observer=observe)

@@ -8,6 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from repro.geometry import Rect
+from repro.lock import LockManager
 from repro.rtree.entry import ChildEntry, LeafEntry
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree, RTreeConfig
@@ -105,3 +106,24 @@ def small_config() -> RTreeConfig:
 @pytest.fixture
 def unit_config() -> RTreeConfig:
     return RTreeConfig(max_entries=8, universe=UNIT)
+
+
+@pytest.fixture(params=[False, True], ids=["bare", "observed"])
+def observed(request) -> bool:
+    """Run a lock-manager test bare and again with every observation
+    channel attached: the assertions must hold on both, so tracing, the
+    obs sink and the wait observer can never change a lock decision."""
+    return request.param
+
+
+def make_lock_manager(observed: bool, **kwargs) -> LockManager:
+    """A lock manager, bare or with ``trace``, ``obs_sink`` and
+    ``wait_observer`` all recording into a private log."""
+    if not observed:
+        return LockManager(**kwargs)
+    log: List[tuple] = []
+    kwargs.setdefault("trace", True)
+    kwargs.setdefault("wait_observer", lambda event, request: log.append((event, request.txn_id)))
+    lm = LockManager(**kwargs)
+    lm.obs_sink = lambda event, **fields: log.append((event, fields))
+    return lm

@@ -5,16 +5,11 @@ import time
 
 import pytest
 
-from repro.lock import DeadlockError, LockManager, LockMode, ResourceId
+from repro.lock import DeadlockError, LockMode, ResourceId
+from tests.conftest import make_lock_manager
 
 S, X = LockMode.S, LockMode.X
 R1, R2, R3 = ResourceId.leaf(1), ResourceId.leaf(2), ResourceId.leaf(3)
-
-
-@pytest.fixture(params=[1, 8], ids=["stripes1", "stripes8"])
-def stripes(request):
-    """Deadlock detection must work with the table sharded or not."""
-    return request.param
 
 
 def run_all(workers, timeout=10.0):
@@ -27,8 +22,8 @@ def run_all(workers, timeout=10.0):
 
 
 class TestTwoPartyDeadlock:
-    def test_cycle_broken_one_survives(self, stripes):
-        lm = LockManager(stripes=stripes)
+    def test_cycle_broken_one_survives(self, observed):
+        lm = make_lock_manager(observed)
         lm.acquire("a", R1, X)
         lm.acquire("b", R2, X)
         outcome = {}
@@ -60,8 +55,8 @@ class TestTwoPartyDeadlock:
         assert sorted(outcome.values()) == ["ok", "victim"]
         assert lm.deadlock_count >= 1
 
-    def test_victim_is_youngest_by_default(self, stripes):
-        lm = LockManager(stripes=stripes)
+    def test_victim_is_youngest_by_default(self, observed):
+        lm = make_lock_manager(observed)
         lm.acquire("old", R1, X)  # first seen -> older
         lm.acquire("young", R2, X)
         outcome = {}
@@ -88,46 +83,10 @@ class TestTwoPartyDeadlock:
         run_all([old_body, young_body])
         assert outcome == {"old": "ok", "young": "victim"}
 
-    def test_custom_victim_selector(self, stripes):
-        chosen = []
-
-        def pick_first_alphabetical(cycle):
-            victim = sorted(map(str, cycle))[0]
-            chosen.append(victim)
-            return victim
-
-        lm = LockManager(victim_selector=pick_first_alphabetical, stripes=stripes)
-        lm.acquire("a", R1, X)
-        lm.acquire("b", R2, X)
-        outcome = {}
-
-        def a_body():
-            try:
-                lm.acquire("a", R2, X)
-                outcome["a"] = "ok"
-            except DeadlockError:
-                outcome["a"] = "victim"
-            finally:
-                lm.release_all("a")
-
-        def b_body():
-            time.sleep(0.15)
-            try:
-                lm.acquire("b", R1, X)
-                outcome["b"] = "ok"
-            except DeadlockError:
-                outcome["b"] = "victim"
-            finally:
-                lm.release_all("b")
-
-        run_all([a_body, b_body])
-        assert outcome["a"] == "victim"
-        assert chosen == ["a"]
-
 
 class TestThreePartyDeadlock:
-    def test_three_cycle_resolved(self, stripes):
-        lm = LockManager(stripes=stripes)
+    def test_three_cycle_resolved(self, observed):
+        lm = make_lock_manager(observed)
         lm.acquire("a", R1, X)
         lm.acquire("b", R2, X)
         lm.acquire("c", R3, X)
@@ -152,8 +111,8 @@ class TestThreePartyDeadlock:
 
 
 class TestWaitsForGraph:
-    def test_graph_reflects_blockers(self, stripes):
-        lm = LockManager(stripes=stripes)
+    def test_graph_reflects_blockers(self, observed):
+        lm = make_lock_manager(observed)
         lm.acquire("holder", R1, X)
         done = threading.Event()
 
@@ -178,54 +137,12 @@ class TestWaitsForGraph:
         assert done.wait(timeout=5)
         t.join(timeout=5)
 
-    def test_timeout_raises_and_cleans_queue(self, stripes):
+    def test_timeout_raises_and_cleans_queue(self, observed):
         from repro.lock import LockTimeout
 
-        lm = LockManager(stripes=stripes)
+        lm = make_lock_manager(observed)
         lm.acquire("holder", R1, X)
         with pytest.raises(LockTimeout):
             lm.acquire("waiter", R1, S, timeout=0.1)
         assert lm.waiting_requests() == []
         lm.release_all("holder")
-
-
-class TestCrossStripeDeadlock:
-    def test_cycle_spanning_distinct_stripes(self):
-        """A deadlock whose two resources provably live in *different*
-        stripes -- the waits-for graph must still see across shards."""
-        lm = LockManager(stripes=8)
-        first = ResourceId.leaf(0)
-        home = lm._stripe_of(first).index
-        other = next(
-            ResourceId.leaf(pid)
-            for pid in range(1, 1000)
-            if lm._stripe_of(ResourceId.leaf(pid)).index != home
-        )
-        assert lm._stripe_of(first).index != lm._stripe_of(other).index
-
-        lm.acquire("a", first, X)
-        lm.acquire("b", other, X)
-        outcome = {}
-
-        def a_body():
-            try:
-                lm.acquire("a", other, X)
-                outcome["a"] = "ok"
-            except DeadlockError:
-                outcome["a"] = "victim"
-            finally:
-                lm.release_all("a")
-
-        def b_body():
-            time.sleep(0.15)
-            try:
-                lm.acquire("b", first, X)
-                outcome["b"] = "ok"
-            except DeadlockError:
-                outcome["b"] = "victim"
-            finally:
-                lm.release_all("b")
-
-        run_all([a_body, b_body])
-        assert sorted(outcome.values()) == ["ok", "victim"]
-        assert lm.deadlock_count >= 1

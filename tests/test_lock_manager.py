@@ -1,15 +1,21 @@
-"""Unit tests for the lock manager (single-threaded paths)."""
+"""Unit tests for the lock manager: grant/deny, conversions, release
+paths, introspection, wake-up order and threaded waits."""
+
+import threading
+import time
 
 import pytest
 
+from repro.concurrency.simulator import Simulator
+from repro.concurrency.waits import SimulatedWait
 from repro.lock import (
     LockDuration,
-    LockManager,
     LockMode,
     ResourceId,
     WouldBlock,
 )
-from repro.lock.manager import LockError, SingleThreadedWait
+from repro.lock.manager import LockError, SingleThreadedWait, ThreadedWait, _resource_order
+from tests.conftest import make_lock_manager
 
 S, X, IX, IS, SIX = LockMode.S, LockMode.X, LockMode.IX, LockMode.IS, LockMode.SIX
 SHORT, COMMIT = LockDuration.SHORT, LockDuration.COMMIT
@@ -19,16 +25,9 @@ R2 = ResourceId.leaf(2)
 OBJ = ResourceId.obj("o")
 
 
-@pytest.fixture(params=[1, 8], ids=["stripes1", "stripes8"])
-def stripes(request):
-    """Every test runs against both the single-stripe (legacy-equivalent)
-    and the default striped lock table."""
-    return request.param
-
-
 @pytest.fixture
-def lm(stripes):
-    return LockManager(wait_strategy=SingleThreadedWait(), stripes=stripes)
+def lm(observed):
+    return make_lock_manager(observed, wait_strategy=SingleThreadedWait())
 
 
 class TestGrantDeny:
@@ -141,11 +140,8 @@ class TestIntrospection:
         assert not lm.has_conflicting_holder(R1, IX, ignore=("reader",))
         assert not lm.has_conflicting_holder(R2, X)
 
-    def test_stripe_count(self, lm, stripes):
-        assert lm.stripe_count == stripes
-
-    def test_trace_records_grants_and_denials(self, stripes):
-        lm = LockManager(wait_strategy=SingleThreadedWait(), trace=True, stripes=stripes)
+    def test_trace_records_grants_and_denials(self, observed):
+        lm = make_lock_manager(observed, wait_strategy=SingleThreadedWait(), trace=True)
         lm.acquire("t1", R1, X)
         lm.acquire("t2", R1, S, conditional=True)
         assert len(lm.trace) == 2
@@ -160,11 +156,9 @@ class TestIntrospection:
         assert lm.total_acquisitions() == 3
         assert lm.acquisition_counts == {"S": 1, "IX": 1, "X": 1}
 
-    def test_fifo_fairness_new_request_waits_behind_queue(self, stripes):
+    def test_fifo_fairness_new_request_waits_behind_queue(self, observed):
         """A grantable new request must not overtake earlier waiters."""
-        import threading
-
-        lm = LockManager(stripes=stripes)
+        lm = make_lock_manager(observed)
         lm.acquire("t1", R1, S)
         order = []
 
@@ -184,3 +178,110 @@ class TestIntrospection:
         lm.release_all("t1")
         thread.join(timeout=5)
         assert order == ["t2"]
+
+
+class TestCanonicalWakeOrder:
+    """One holder frees many contended resources at once: the waiters must
+    be granted in ``_resource_order``, neither in lock-table insertion
+    order nor in any layout-dependent order.  Replays and trace artifacts
+    depend on this order."""
+
+    #: listed (and so first locked) out of ``_resource_order``
+    RESOURCES = [ResourceId.leaf(pid) for pid in range(6, 0, -1)] + [
+        ResourceId.obj("a"),
+        ResourceId.ext(1),
+    ]
+
+    def _grant_order(self, observed, duration, free):
+        sim = Simulator()
+        grants = []
+        lm = make_lock_manager(
+            observed,
+            wait_strategy=SimulatedWait(sim, strict=True),
+            wait_observer=lambda event, request: (
+                grants.append(request.resource) if event == "grant" else None
+            ),
+        )
+
+        def holder():
+            for resource in self.RESOURCES:
+                assert lm.acquire("holder", resource, X, duration, conditional=True)
+            sim.checkpoint(10.0)  # every waiter parks meanwhile
+            free(lm)
+
+        def waiter(txn, resource):
+            def body():
+                lm.acquire(txn, resource, S)
+                lm.release_all(txn)
+
+            return body
+
+        sim.spawn("holder", holder)
+        for idx, resource in enumerate(self.RESOURCES):
+            sim.spawn(f"w{idx}", waiter(f"w{idx}", resource), delay=1.0)
+        sim.run()
+        sim.raise_process_errors()
+        assert lm.outstanding() == (0, 0)
+        return grants
+
+    def test_release_all_wakes_in_resource_order(self, observed):
+        grants = self._grant_order(observed, COMMIT, lambda lm: lm.release_all("holder"))
+        assert grants == sorted(self.RESOURCES, key=_resource_order)
+
+    def test_end_operation_wakes_in_resource_order(self, observed):
+        def free(lm):
+            lm.end_operation("holder")
+            lm.release_all("holder")
+
+        grants = self._grant_order(observed, SHORT, free)
+        assert grants == sorted(self.RESOURCES, key=_resource_order)
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestThreadedWaitSharedCondition:
+    """Every threaded waiter sleeps on the manager's one condition."""
+
+    def test_wakeup_for_one_resource_leaves_others_waiting(self, observed):
+        lm = make_lock_manager(observed, wait_strategy=ThreadedWait())
+        resources = [ResourceId.leaf(pid) for pid in range(1, 5)]
+        for resource in resources:
+            lm.acquire("holder", resource, X)
+        granted = []
+
+        def waiter(txn, resource):
+            lm.acquire(txn, resource, S)
+            granted.append(txn)
+
+        threads = [
+            threading.Thread(target=waiter, args=(f"w{idx}", resource), daemon=True)
+            for idx, resource in enumerate(resources)
+        ]
+        for thread in threads:
+            thread.start()
+        _wait_until(lambda: len(lm.waiting_requests()) == len(resources))
+
+        # A bare notify_all wakes every waiter; each re-checks and waits on.
+        with lm._mutex:
+            lm._cond.notify_all()
+        # Releasing one resource grants its waiter and notifies everyone.
+        lm.release("holder", resources[0], X, COMMIT)
+        _wait_until(lambda: granted == ["w0"])
+        time.sleep(0.05)
+        assert granted == ["w0"]
+        assert {r.resource for r in lm.waiting_requests()} == set(resources[1:])
+        assert all(thread.is_alive() for thread in threads[1:])
+
+        lm.release_all("holder")
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert sorted(granted) == ["w0", "w1", "w2", "w3"]
+        for idx in range(len(resources)):
+            lm.release_all(f"w{idx}")
+        assert lm.outstanding() == (0, 0)

@@ -32,8 +32,7 @@ class LegacyIdKeyedWait(SimulatedWait):
     """The pre-fix SimulatedWait: id(request) keying, no finally."""
 
     def wait(self, manager, request, timeout):
-        stripe = getattr(request, "stripe", None)
-        mutex = stripe.mutex if stripe is not None else manager._mutex
+        mutex = manager._mutex
         proc = self.sim.current()
         self._waiters[id(request)] = proc
         while request.status is RequestStatus.WAITING:

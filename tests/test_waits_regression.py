@@ -33,8 +33,7 @@ class LegacyIdKeyedWait(SimulatedWait):
     """Faithful reimplementation of the pre-fix strategy."""
 
     def wait(self, manager, request, timeout):
-        stripe = getattr(request, "stripe", None)
-        mutex = stripe.mutex if stripe is not None else manager._mutex
+        mutex = manager._mutex
         proc = self.sim.current()
         self._waiters[id(request)] = proc
         while request.status is RequestStatus.WAITING:
