@@ -2,12 +2,12 @@
 
 Implements granted groups, FIFO wait queues with conversion priority,
 conditional/unconditional requests, short/commit durations, waits-for
-deadlock detection, and optional event tracing (used by the Table 3
-verification tests to assert exactly which locks each operation takes).
+deadlock detection, and one observation seam, ``obs_sink``, that reports
+every lock decision (see :mod:`repro.obs`).
 
 Concurrency model: one lock table behind one re-entrant mutex.  The
 mutex guards every resource's granted group and wait queue, the
-per-transaction maps, the counters and the trace; a condition variable
+per-transaction maps and the counters; a condition variable
 on it serves threaded waits.  Deadlock detection runs inside
 ``acquire`` with the mutex still held, so the waits-for graph is always
 a consistent snapshot of the whole table.
@@ -95,18 +95,6 @@ class LockRequest:
     #: monotonic token set by a parked wait strategy while registered
     #: (see :mod:`repro.concurrency.waits`); ``None`` when not parked
     wait_token: Optional[int] = field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class LockEvent:
-    """One trace record: a grant (or denial) as seen by the caller."""
-
-    txn_id: TxnId
-    resource: ResourceId
-    mode: LockMode
-    duration: LockDuration
-    granted: bool
-    waited: bool
 
 
 class _Held:
@@ -209,22 +197,17 @@ class LockManager:
     def __init__(
         self,
         wait_strategy: Optional[WaitStrategy] = None,
-        trace: bool = False,
-        wait_observer: Optional[Callable[[str, LockRequest], None]] = None,
+        obs_sink: Optional[Callable[..., None]] = None,
     ) -> None:
         self.wait_strategy: WaitStrategy = wait_strategy or ThreadedWait()
-        #: stress-visible wait events: called with ("enqueue" | "grant" |
-        #: "abort" | "timeout", request).  The request carries the waiter's
-        #: identity (txn id, resource, mode), so observers never have to
-        #: reverse-engineer context.  Invoked under the manager mutex --
-        #: observers must only record, never block or re-enter the manager.
-        self.wait_observer = wait_observer
         #: observability sink (see :mod:`repro.obs`): called as
-        #: ``sink(event_type, **fields)`` for immediate lock decisions and
-        #: releases -- the events wait observers never see.  ``None``
-        #: (default) costs one attribute test per decision.  Like the wait
-        #: observer it runs under the manager mutex: record only.
-        self.obs_sink: Optional[Callable[..., None]] = None
+        #: ``sink(event_type, **fields)`` for every lock decision --
+        #: ``lock.acquire``, ``lock.enqueue``/``grant``/``abort``/``timeout``
+        #: for waits, and ``lock.release``/``end_op``/``release_all``.
+        #: ``None`` (default) costs one attribute test per decision.  It
+        #: runs under the manager mutex: record only, never block or
+        #: re-enter the manager.
+        self.obs_sink = obs_sink
         self._mutex = threading.RLock()
         self._cond = threading.Condition(self._mutex)
         #: resource -> granted group and wait queue, in first-lock order
@@ -239,8 +222,6 @@ class LockManager:
         #: ``release_all`` visits only the heads that can hold its state
         self._txn_resources: Dict[TxnId, Set[ResourceId]] = {}
         self._seq = itertools.count()
-        self.tracing = trace
-        self.trace: List[LockEvent] = []
         #: granted acquisitions by mode name
         self.acquisition_counts: Dict[str, int] = {}
         #: how many requests have had to wait
@@ -302,7 +283,7 @@ class LockManager:
             )
             self._enqueue(head, request)
             self.wait_count += 1
-            self._observe("enqueue", request)
+            self._emit_wait("lock.enqueue", request)
             # A cycle needs at least two waiting requests (ours included),
             # so the common lone-waiter case skips the sweep entirely; any
             # later waiter that completes a cycle runs its own detection.
@@ -349,15 +330,7 @@ class LockManager:
             if held.empty():
                 del head.granted[txn_id]
             self._process_queue(head)
-            sink = self.obs_sink
-            if sink is not None:
-                sink(
-                    "lock.release",
-                    txn=txn_id,
-                    resource=repr(resource),
-                    mode=mode.value,
-                    duration=duration.value,
-                )
+            self._emit("lock.release", txn_id, resource, mode, duration)
 
     def end_operation(self, txn_id: TxnId) -> None:
         """Release every short-duration lock the transaction holds.
@@ -408,7 +381,7 @@ class LockManager:
                         self._dequeue(head, request)
                         request.status = RequestStatus.ABORTED
                         request.error = LockError(f"transaction {txn_id!r} terminated")
-                        self._observe("abort", request)
+                        self._emit_wait("lock.abort", request)
                         self.wait_strategy.notify(self, request)
                         changed = True
                 if changed:
@@ -535,7 +508,7 @@ class LockManager:
                     self._dequeue(head, request)
                     self._grant(head, request.txn_id, request.resource, request.mode, request.duration)
                     request.status = RequestStatus.GRANTED
-                    self._observe("grant", request)
+                    self._emit_wait("lock.grant", request)
                     self.wait_strategy.notify(self, request)
                     made_progress = True
                     break
@@ -587,7 +560,7 @@ class LockManager:
                     self._dequeue(head, request)
                     request.status = RequestStatus.ABORTED
                     request.error = error
-                    self._observe("abort", request)
+                    self._emit_wait("lock.abort", request)
                     self.wait_strategy.notify(self, request)
         # Whatever queue the victim vacated may now be grantable.
         for head in list(self._heads.values()):
@@ -600,11 +573,7 @@ class LockManager:
             self._process_queue(head)
         if request.status is RequestStatus.WAITING:
             request.status = RequestStatus.DENIED
-            self._observe("timeout", request)
-
-    def _observe(self, event: str, request: LockRequest) -> None:
-        if self.wait_observer is not None:
-            self.wait_observer(event, request)
+            self._emit_wait("lock.timeout", request)
 
     # ------------------------------------------------------------------
     # introspection for the stress harness
@@ -626,7 +595,7 @@ class LockManager:
         return holds, queued
 
     # ------------------------------------------------------------------
-    # tracing
+    # observation
     # ------------------------------------------------------------------
 
     def _record(
@@ -649,12 +618,16 @@ class LockManager:
                 granted=granted,
                 waited=waited,
             )
-        if self.tracing:
-            self.trace.append(LockEvent(txn_id, resource, mode, duration, granted, waited))
 
-    def clear_trace(self) -> None:
-        """Drop recorded lock events (tracing stays on)."""
-        self.trace.clear()
+    def _emit_wait(self, event: str, request: LockRequest) -> None:
+        self._emit(event, request.txn_id, request.resource, request.mode, request.duration)
+
+    def _emit(
+        self, event: str, txn: TxnId, resource: ResourceId, mode: LockMode, duration: LockDuration
+    ) -> None:
+        sink = self.obs_sink
+        if sink is not None:
+            sink(event, txn=txn, resource=repr(resource), mode=mode.value, duration=duration.value)
 
     def total_acquisitions(self) -> int:
         """Locks granted since construction (any mode, any duration)."""

@@ -10,6 +10,8 @@ Producer side (see ``docs/OBSERVABILITY.md``):
 
 Consumer side -- everything downstream of a trace:
 
+* :mod:`repro.obs.model` -- the one lock replay (who holds, who waits
+  for what) that the profiler, critical-path forensics and auditor drive;
 * :mod:`repro.obs.profiler` -- the lock-contention profiler
   (``dgl-trace-report/1``): wait timelines, waits-for series, lock
   heatmap, latency percentiles, §3.4 boundary-change fraction;

@@ -58,8 +58,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
+from repro.obs.model import WAIT_OUTCOMES, LockReplay, unit_of
 from repro.obs.tracer import EventTracer
 
 AUDIT_SCHEMA = "dgl-audit/1"
@@ -130,10 +131,9 @@ class ProtocolAuditor:
         self.suppressed = 0  # findings beyond max_violations
         self.events_seen = 0
         self.locks_checked = 0
-        #: txn -> (resource, mode, duration) -> held units
-        self._held: Dict[object, Dict[Tuple[str, str, str], int]] = {}
-        #: (txn, resource) -> (mode, duration) of the open wait
-        self._waits: Dict[Tuple[object, str], Tuple[str, str]] = {}
+        #: who holds and who waits for what (the replay the profiler and
+        #: critical-path forensics drive too)
+        self.locks = LockReplay()
         #: txn -> open operation span {"op", "kind"}
         self._ops: Dict[object, Dict[str, object]] = {}
         self._names: Dict[object, object] = {}
@@ -155,7 +155,7 @@ class ProtocolAuditor:
             "locks_checked": self.locks_checked,
             "violations": [v.to_dict() for v in self.violations],
             "suppressed_violations": self.suppressed,
-            "open_waits": len(self._waits),
+            "open_waits": len(self.locks.waits),
             "open_operations": len(self._ops),
         }
 
@@ -170,43 +170,11 @@ class ProtocolAuditor:
         if self.on_violation is not None:
             self.on_violation(violation)
 
-    # -- lock bookkeeping ----------------------------------------------
-
-    def _hold_add(self, txn, resource: str, mode: str, duration: str) -> None:
-        held = self._held.setdefault(txn, {})
-        key = (resource, mode, duration)
-        held[key] = held.get(key, 0) + 1
-
-    def _hold_drop(self, txn, resource: str, mode: str, duration: str) -> bool:
-        held = self._held.get(txn)
-        if not held:
-            return False
-        key = (resource, mode, duration)
-        count = held.get(key, 0)
-        if count <= 0:
-            return False
-        if count == 1:
-            del held[key]
-        else:
-            held[key] = count - 1
-        return True
-
-    def _held_shorts(self, txn) -> List[Tuple[str, str, str]]:
-        return [k for k in self._held.get(txn, ()) if k[2] == "short"]
-
-    def _holds_mode_on(self, txn, resource: str, modes: Tuple[str, ...]) -> bool:
-        held = self._held.get(txn)
-        if not held:
-            return False
-        return any(r == resource and m in modes for (r, m, _d) in held)
-
     # -- Table 3 pattern -----------------------------------------------
 
     def _check_pattern(self, event: Dict[str, object]) -> None:
         txn = event.get("txn")
-        resource = str(event.get("resource"))
-        mode = str(event.get("mode"))
-        duration = str(event.get("duration"))
+        resource, mode, duration = unit_of(event)
         self.locks_checked += 1
         span = self._ops.get(txn)
         if span is not None:
@@ -245,49 +213,43 @@ class ProtocolAuditor:
         self.events_seen += 1
         etype = event.get("type")
         txn = event.get("txn")
+        locks = self.locks
 
         if etype == "lock.acquire":
             self._check_pattern(event)
+            locks.apply(event)
             if event.get("granted"):
-                resource = str(event.get("resource"))
-                mode = str(event.get("mode"))
-                duration = str(event.get("duration"))
+                resource, mode, duration = unit = unit_of(event)
                 if txn in self._ended:
                     self._flag(
                         "2pl",
                         event,
                         f"lock acquired on {resource} after release_all",
                     )
-                if event.get("waited"):
-                    # The grant event already accounted the hold; verify it.
-                    if (resource, mode, duration) not in self._held.get(txn, {}):
-                        self._flag(
-                            "wait-discipline",
-                            event,
-                            f"waited acquire of ({mode}, {duration}) on "
-                            f"{resource} has no preceding grant",
-                        )
-                else:
-                    self._hold_add(txn, resource, mode, duration)
+                # The grant event already accounted a waited hold; verify it.
+                if event.get("waited") and unit not in locks.held.get(txn, {}):
+                    self._flag(
+                        "wait-discipline",
+                        event,
+                        f"waited acquire of ({mode}, {duration}) on "
+                        f"{resource} has no preceding grant",
+                    )
 
         elif etype == "lock.enqueue":
             self._check_pattern(event)
             resource = str(event.get("resource"))
-            key = (txn, resource)
-            if key in self._waits:
+            if (txn, resource) in locks.waits:
                 self._flag(
                     "wait-discipline",
                     event,
                     f"enqueue on {resource} while an earlier wait on it is "
                     f"still open",
                 )
-            self._waits[key] = (str(event.get("mode")), str(event.get("duration")))
+            locks.apply(event)
 
-        elif etype in ("lock.grant", "lock.abort", "lock.timeout"):
-            resource = str(event.get("resource"))
-            mode = str(event.get("mode"))
-            duration = str(event.get("duration"))
-            wait = self._waits.pop((txn, resource), None)
+        elif etype in WAIT_OUTCOMES:
+            resource, mode, duration = unit_of(event)
+            wait = locks.apply(event)
             if wait is None:
                 self._flag(
                     "wait-discipline",
@@ -295,26 +257,22 @@ class ProtocolAuditor:
                     f"{etype} of ({mode}, {duration}) on {resource} without "
                     f"an open enqueue",
                 )
-            elif wait != (mode, duration):
+            elif (wait.mode, wait.duration) != (mode, duration):
                 self._flag(
                     "wait-discipline",
                     event,
                     f"{etype} of ({mode}, {duration}) on {resource} but the "
-                    f"open wait asked for {wait}",
+                    f"open wait asked for {(wait.mode, wait.duration)}",
                 )
-            if etype == "lock.grant":
-                if txn in self._ended:
-                    self._flag(
-                        "2pl",
-                        event,
-                        f"lock granted on {resource} after release_all",
-                    )
-                self._hold_add(txn, resource, mode, duration)
+            if etype == "lock.grant" and txn in self._ended:
+                self._flag(
+                    "2pl",
+                    event,
+                    f"lock granted on {resource} after release_all",
+                )
 
         elif etype == "lock.release":
-            resource = str(event.get("resource"))
-            mode = str(event.get("mode"))
-            duration = str(event.get("duration"))
+            resource, mode, duration = unit_of(event)
             if duration == "commit":
                 self._flag(
                     "2pl",
@@ -322,7 +280,7 @@ class ProtocolAuditor:
                     f"commit-duration ({mode}) lock on {resource} released "
                     f"before transaction end",
                 )
-            if not self._hold_drop(txn, resource, mode, duration):
+            if not locks.apply(event):
                 self._flag(
                     "release-unheld",
                     event,
@@ -331,15 +289,13 @@ class ProtocolAuditor:
                 )
 
         elif etype == "lock.end_op":
-            for released in event.get("resources") or ():
-                resource, mode = released[0], released[1]
-                if not self._hold_drop(txn, str(resource), str(mode), "short"):
-                    self._flag(
-                        "release-unheld",
-                        event,
-                        f"end_op drops short ({mode}) on {resource} not "
-                        f"backed by a held unit",
-                    )
+            for resource, mode in locks.apply(event):
+                self._flag(
+                    "release-unheld",
+                    event,
+                    f"end_op drops short ({mode}) on {resource} not "
+                    f"backed by a held unit",
+                )
 
         elif etype == "lock.release_all":
             # An aborted transaction (txn.abort precedes its release_all)
@@ -348,7 +304,7 @@ class ProtocolAuditor:
             # and release_all is exactly the sweep that reclaims them.
             # Only a *non-aborted* transaction carrying shorts into
             # release_all leaked an operation fence.
-            shorts = self._held_shorts(txn)
+            shorts = locks.shorts(txn)
             if shorts and txn not in self._aborted:
                 self._flag(
                     "short-outlives-op",
@@ -356,15 +312,12 @@ class ProtocolAuditor:
                     f"{len(shorts)} short-duration lock(s) still held at "
                     f"release_all (first: {shorts[0][:2]})",
                 )
-            self._held.pop(txn, None)
-            stale = [k for k in self._waits if k[0] == txn]
-            for key in stale:
-                del self._waits[key]
+            stale = locks.apply(event)
             if stale:
                 self._flag(
                     "wait-discipline",
                     event,
-                    f"{len(stale)} wait(s) still open at release_all",
+                    f"{stale} wait(s) still open at release_all",
                 )
             self._ended.add(txn)
 
@@ -376,7 +329,7 @@ class ProtocolAuditor:
                     f"op.begin ({event.get('kind')}) while span "
                     f"{self._ops[txn].get('op')} is still open",
                 )
-            shorts = self._held_shorts(txn)
+            shorts = locks.shorts(txn)
             if shorts:
                 self._flag(
                     "short-outlives-op",
@@ -396,7 +349,7 @@ class ProtocolAuditor:
         elif etype == "txn.commit":
             # commit order is release_all -> txn.commit, so anything still
             # "held" here escaped the release sweep
-            leftover = self._held.get(txn)
+            leftover = locks.held.get(txn)
             if leftover:
                 self._flag(
                     "2pl",
@@ -415,7 +368,7 @@ class ProtocolAuditor:
                 level = int(event.get("level") or 0)
                 page = event.get("page")
                 if level > 0:
-                    if not self._holds_mode_on(txn, f"ext:{page}", _SIX_OR_STRONGER):
+                    if not locks.holds(txn, f"ext:{page}", _SIX_OR_STRONGER):
                         self._flag(
                             "fence",
                             event,
@@ -423,7 +376,7 @@ class ProtocolAuditor:
                             f"grower holding SIX on it (§3.3 fence)",
                         )
                 else:
-                    if not self._holds_mode_on(txn, f"leaf:{page}", _WRITE_INTENT):
+                    if not locks.holds(txn, f"leaf:{page}", _WRITE_INTENT):
                         self._flag(
                             "fence",
                             event,
@@ -434,7 +387,7 @@ class ProtocolAuditor:
         elif etype == "granule.split":
             if int(event.get("level") or 0) == 0:
                 old = event.get("old")
-                if not self._holds_mode_on(txn, f"leaf:{old}", _SIX_OR_STRONGER):
+                if not locks.holds(txn, f"leaf:{old}", _SIX_OR_STRONGER):
                     self._flag(
                         "fence",
                         event,

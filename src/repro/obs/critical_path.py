@@ -12,8 +12,8 @@ once, carving each transaction's ``txn.begin`` → ``txn.commit``/``abort``
 window into those segments using the ``lock.enqueue`` /
 ``lock.grant``/``abort``/``timeout`` pairs, and attributes every wait
 segment to the transactions holding the contended resource at enqueue
-time (holders are reconstructed from grant/release events, the same
-bookkeeping the profiler uses).
+time (holders come from :class:`~repro.obs.model.LockReplay`, the same
+replay the profiler and the auditor drive).
 
 The report (schema ``dgl-critpath/1``) carries:
 
@@ -32,15 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.model import WAIT_OUTCOMES, LockReplay
 from repro.obs.tracer import load_jsonl
 
 CRITPATH_SCHEMA = "dgl-critpath/1"
-
-_WAIT_CLOSERS = {
-    "lock.grant": "granted",
-    "lock.abort": "aborted",
-    "lock.timeout": "timed_out",
-}
 
 
 def analyze_critical_path(
@@ -53,11 +48,7 @@ def analyze_critical_path(
     ``top`` bounds the listed transaction records and blocker/resource
     rankings; totals always cover everything.
     """
-    #: resource -> txn -> held units
-    holders: Dict[str, Dict[object, int]] = {}
-    txn_resources: Dict[object, set] = {}
-    #: (txn, resource) -> open wait segment
-    open_waits: Dict[Tuple[object, str], Dict[str, object]] = {}
+    replay = LockReplay()
     #: txn -> record under construction
     txns: Dict[object, Dict[str, object]] = {}
     order: List[object] = []  # first-seen order, for deterministic ties
@@ -80,15 +71,6 @@ def analyze_critical_path(
             }
             order.append(txn)
         return record
-
-    def _hold(resource: str, txn: object, delta: int) -> None:
-        held = holders.setdefault(resource, {})
-        count = held.get(txn, 0) + delta
-        if count > 0:
-            held[txn] = count
-            txn_resources.setdefault(txn, set()).add(resource)
-        else:
-            held.pop(txn, None)
 
     def _charge(table: Dict, key, wait: float, waits: int = 1) -> None:
         cell = table.setdefault(key, {"blocked_time": 0.0, "waits": 0})
@@ -127,27 +109,15 @@ def analyze_critical_path(
                     }
                 )
 
-        elif etype == "lock.acquire":
-            if event.get("granted") and not event.get("waited"):
-                _hold(str(event.get("resource")), txn, +1)
-        elif etype == "lock.enqueue":
+        elif etype in WAIT_OUTCOMES:
             resource = str(event.get("resource"))
-            blocking = sorted(str(t) for t in holders.get(resource, {}) if t != txn)
-            open_waits[(txn, resource)] = {
-                "resource": resource,
-                "mode": event.get("mode"),
-                "start": ts,
-                "holders": blocking,
-            }
-        elif etype in _WAIT_CLOSERS:
-            resource = str(event.get("resource"))
-            if etype == "lock.grant":
-                _hold(resource, txn, +1)
-            segment = open_waits.pop((txn, resource), None)
-            if segment is not None:
-                wait = ts - float(segment["start"])
-                segment.update(
-                    {"end": ts, "wait": round(wait, 6), "outcome": _WAIT_CLOSERS[etype]}
+            opened = replay.apply(event)
+            if opened is not None:
+                start = float(opened.start or 0.0)
+                wait = ts - start
+                segment = dict(
+                    resource=resource, mode=opened.mode, start=start, holders=opened.holders,
+                    end=ts, wait=round(wait, 6), outcome=WAIT_OUTCOMES[etype],
                 )
                 record = _txn(txn)
                 record["wait_time"] += wait
@@ -161,20 +131,15 @@ def analyze_critical_path(
                     # blocked behind the queue, not a holder (fairness
                     # ordering): charge the queue pseudo-blocker
                     _charge(blocked_by, "(queue)", wait)
-        elif etype == "lock.release":
-            _hold(str(event.get("resource")), txn, -1)
-        elif etype == "lock.end_op":
-            for released in event.get("resources") or ():
-                resource = released[0] if isinstance(released, (list, tuple)) else released
-                _hold(str(resource), txn, -1)
-        elif etype == "lock.release_all":
-            for resource in txn_resources.pop(txn, set()):
-                holders.get(resource, {}).pop(txn, None)
+        elif etype.startswith("lock."):
+            replay.apply(event)
 
     # Close out: waits never resolved (truncated trace), open transactions.
-    for (txn, _resource), segment in open_waits.items():
-        segment.update({"end": None, "wait": None, "outcome": "unresolved"})
-        _txn(txn)["segments"].append(segment)
+    for (txn, resource), opened in replay.waits.items():
+        _txn(txn)["segments"].append(dict(
+            resource=resource, mode=opened.mode, start=float(opened.start or 0.0),
+            holders=opened.holders, end=None, wait=None, outcome="unresolved",
+        ))
 
     records: List[Dict[str, object]] = []
     for txn in order:

@@ -8,7 +8,7 @@ The analyzer is a single ordered pass over the events that reconstructs:
   outcome, wait duration) per waiter per resource;
 * **a waits-for time series** -- at each enqueue, the edge from the
   waiter to the transactions then holding the contended resource
-  (holdings are tracked from grant/release/release_all events);
+  (holdings come from the shared :class:`~repro.obs.model.LockReplay`);
 * **a lock heatmap** -- acquisitions, waits and accumulated wait time by
   resource (page / granule / object), sorted hottest-first;
 * **per-operation latency percentiles** -- nearest-rank p50/p90/p99 over
@@ -25,16 +25,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.model import WAIT_OUTCOMES, LockReplay
 from repro.obs.tracer import load_jsonl
 
 REPORT_SCHEMA = "dgl-trace-report/1"
-
-#: wait outcomes, keyed by the event type that closes the wait
-_WAIT_OUTCOMES = {
-    "lock.grant": "granted",
-    "lock.abort": "aborted",
-    "lock.timeout": "timed_out",
-}
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -83,12 +77,7 @@ def analyze_events(
     inserts = 0
     boundary_changes = 0
 
-    #: resource -> txn -> held units (from grant/release events)
-    holders: Dict[str, Dict[object, int]] = {}
-    #: txn -> resources it may hold (for release_all)
-    txn_resources: Dict[object, set] = {}
-    #: (txn, resource) -> open wait record
-    open_waits: Dict[Tuple[object, str], Dict[str, object]] = {}
+    replay = LockReplay()
     timelines: Dict[str, List[Dict[str, object]]] = {}
     heat: Dict[str, Dict[str, float]] = {}
     waits_for: List[Dict[str, object]] = []
@@ -104,15 +93,6 @@ def analyze_events(
         if cell is None:
             cell = heat[resource] = {"acquisitions": 0, "waits": 0, "wait_time": 0.0}
         return cell
-
-    def _hold(resource: str, txn: object, delta: int) -> None:
-        held = holders.setdefault(resource, {})
-        count = held.get(txn, 0) + delta
-        if count > 0:
-            held[txn] = count
-            txn_resources.setdefault(txn, set()).add(resource)
-        else:
-            held.pop(txn, None)
 
     for event in events:
         etype = event["type"]
@@ -147,52 +127,35 @@ def analyze_events(
                     boundary_changes += 1
 
         elif etype == "lock.acquire":
-            # A grant that followed a wait is already accounted by its
-            # ``lock.grant`` event; counting the acquire too would double
-            # the holding.
-            resource = str(event.get("resource"))
+            # A grant that followed a wait is already counted by its
+            # ``lock.grant`` event.
+            replay.apply(event)
             if event.get("granted") and not event.get("waited"):
-                _heat(resource)["acquisitions"] += 1
-                _hold(resource, txn, +1)
+                _heat(str(event.get("resource")))["acquisitions"] += 1
         elif etype == "lock.enqueue":
             resource = str(event.get("resource"))
-            cell = _heat(resource)
-            cell["waits"] += 1
-            blocking = sorted(
-                (str(t) for t in holders.get(resource, {}) if t != txn)
-            )
+            _heat(resource)["waits"] += 1
+            blocking = replay.apply(event).holders
             waits_for.append(
                 {"ts": ts, "waiter": txn, "resource": resource, "holders": blocking}
             )
-            open_waits[(txn, resource)] = {
-                "txn": txn,
-                "mode": event.get("mode"),
-                "start": ts,
-                "holders": blocking,
-            }
-        elif etype in _WAIT_OUTCOMES:
+        elif etype in WAIT_OUTCOMES:
             resource = str(event.get("resource"))
-            record = open_waits.pop((txn, resource), None)
-            outcome = _WAIT_OUTCOMES[etype]
+            opened = replay.apply(event)
+            outcome = WAIT_OUTCOMES[etype]
             wait_outcomes[outcome] += 1
             if etype == "lock.grant":
                 _heat(resource)["acquisitions"] += 1
-                _hold(resource, txn, +1)
-            if record is not None:
-                wait = float(ts) - float(record["start"])
-                record.update({"end": ts, "outcome": outcome, "wait": round(wait, 6)})
+            if opened is not None:
+                wait = float(ts) - float(opened.start)
                 wait_times.append(wait)
                 _heat(resource)["wait_time"] += wait
-                timelines.setdefault(resource, []).append(record)
-        elif etype == "lock.release":
-            _hold(str(event.get("resource")), txn, -1)
-        elif etype == "lock.end_op":
-            for released in event.get("resources") or ():
-                resource = released[0] if isinstance(released, (list, tuple)) else released
-                _hold(str(resource), txn, -1)
-        elif etype == "lock.release_all":
-            for resource in txn_resources.pop(txn, set()):
-                holders.get(resource, {}).pop(txn, None)
+                timelines.setdefault(resource, []).append(dict(
+                    txn=txn, mode=opened.mode, start=opened.start, holders=opened.holders,
+                    end=ts, outcome=outcome, wait=round(wait, 6),
+                ))
+        elif etype in ("lock.release", "lock.end_op", "lock.release_all"):
+            replay.apply(event)
 
         elif etype == "granule.grow":
             smo["grows"] += 1
@@ -215,10 +178,12 @@ def analyze_events(
             buffer_misses += 1
 
     # Waits still open when the trace ended (or truncated by the ring).
-    for (txn, resource), record in open_waits.items():
+    for (txn, resource), opened in replay.waits.items():
         wait_outcomes["unresolved"] += 1
-        record.update({"end": None, "outcome": "unresolved", "wait": None})
-        timelines.setdefault(resource, []).append(record)
+        timelines.setdefault(resource, []).append(dict(
+            txn=txn, mode=opened.mode, start=opened.start, holders=opened.holders,
+            end=None, outcome="unresolved", wait=None,
+        ))
 
     by_wait_time = sorted(
         heat.items(), key=lambda kv: (-kv[1]["wait_time"], -kv[1]["waits"], kv[0])

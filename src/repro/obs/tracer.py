@@ -43,7 +43,8 @@ The ring (a ``deque(maxlen=...)``) bounds memory; overwritten events are
 counted in :attr:`EventTracer.dropped` and declared in the artifact
 header, so the analyzer knows when a timeline is truncated.  Emission is
 append-only and lock-free under the GIL; the tracer never blocks, never
-re-enters the lock manager, and is safe to call from wait observers.
+re-enters the lock manager, and is safe to call as the lock manager's
+``obs_sink``, which runs under the manager mutex.
 
 Disabled tracing costs the instrumented code exactly one attribute test
 per seam (``if tracer is not None``), the same pattern as the protocol's

@@ -32,7 +32,7 @@ from repro.geometry import Rect
 from repro.lock.manager import LockManager
 from repro.rtree.tree import RTreeConfig
 from repro.stress.faults import FaultInjector, FaultPlan, InjectedAbort
-from repro.stress.oracle import OpRecord, Violation, check_run
+from repro.stress.oracle import OpRecord, Violation, check_run, check_wait_events
 from repro.txn import TransactionAborted
 from repro.workloads.datasets import UNIT, Object, uniform_rects
 from repro.workloads.operations import MixSpec, OpCall, TxnScript, generate_scripts
@@ -45,6 +45,9 @@ POLICIES: Dict[str, InsertionPolicy] = {
     # harness's own tests to prove the oracle actually catches phantoms
     "naive": InsertionPolicy.NAIVE,
 }
+
+#: the lock manager's wait events, counted into StressResult.wait_events
+_WAIT_EVENTS = frozenset({"lock.enqueue", "lock.grant", "lock.abort", "lock.timeout"})
 
 
 def _default_mix() -> MixSpec:
@@ -210,11 +213,14 @@ def run_stress(
         strategy = SimulatedWait(sim, strict=config.strict_waits)
     wait_events: Dict[str, int] = {}
 
-    def observe(event: str, request) -> None:
-        # called under the manager mutex: record only, never block
-        wait_events[event] = wait_events.get(event, 0) + 1
+    def count_wait_events(event: str, **_fields) -> None:
+        # the lock manager's obs_sink, called under the manager mutex:
+        # record only, never block
+        if event in _WAIT_EVENTS:
+            name = event[len("lock."):]
+            wait_events[name] = wait_events.get(name, 0) + 1
 
-    lm = LockManager(wait_strategy=strategy, wait_observer=observe)
+    lm = LockManager(wait_strategy=strategy, obs_sink=count_wait_events)
     history = History()
     index = PhantomProtectedRTree(
         RTreeConfig(max_entries=config.fanout, universe=UNIT),
@@ -337,6 +343,7 @@ def run_stress(
     # ignores non-simulated threads), then interrogate the oracle
     index.vacuum()
     result.violations = check_run(history, records, index, strategy, universe=UNIT)
+    result.violations.extend(check_wait_events(wait_events, lm.wait_count))
     if auditor is not None:
         result.audit_verdict = auditor.verdict()
         result.violations.extend(

@@ -20,12 +20,13 @@ Checks, in order:
    within the mode/duration/namespace set Table 3 prescribes for its row,
    and first-touch operations must actually take their object lock.
 5. **Structural invariants** -- no leaked lock-table entries, no parked
-   waiters left registered, the deferred-delete queue drained, granule
-   coverage without gaps (globally, and node by node: no entry rect
-   sticking out of its child's MBR or the universe), the granule walk
-   agreeing with :func:`reference_overlapping` for the universe and every
-   scan predicate, and the final tree contents equal to the replayed
-   history.
+   waiters left registered, balanced lock wait events (checked by the
+   harness with :func:`check_wait_events`), the deferred-delete queue
+   drained, granule coverage without gaps (globally, and node by node: no
+   entry rect sticking out of its child's MBR or the universe), the
+   granule walk agreeing with :func:`reference_overlapping` for the
+   universe and every scan predicate, and the final tree contents equal
+   to the replayed history.
 """
 
 from __future__ import annotations
@@ -225,6 +226,20 @@ def check_structure(index, strategy) -> List[Violation]:
             )
         )
     return out
+
+
+def check_wait_events(wait_events: Dict[str, int], wait_count: int) -> List[Violation]:
+    """The lock manager's wait events must balance: one ``enqueue`` per
+    counted wait, each closed by exactly one grant, abort or timeout."""
+    enqueued = wait_events.get("enqueue", 0)
+    closed = sum(wait_events.get(name, 0) for name in ("grant", "abort", "timeout"))
+    if enqueued == closed == wait_count:
+        return []
+    detail = (
+        f"wait events do not balance: {enqueued} enqueue(s), {closed} "
+        f"grant/abort/timeout(s), {wait_count} counted wait(s)"
+    )
+    return [Violation("invariant", detail)]
 
 
 def reference_overlapping(granules: GranuleSet, predicate: Union[Rect, Region]) -> List[GranuleRef]:

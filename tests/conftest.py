@@ -110,20 +110,23 @@ def unit_config() -> RTreeConfig:
 
 @pytest.fixture(params=[False, True], ids=["bare", "observed"])
 def observed(request) -> bool:
-    """Run a lock-manager test bare and again with every observation
-    channel attached: the assertions must hold on both, so tracing, the
-    obs sink and the wait observer can never change a lock decision."""
+    """Run a lock-manager test bare and again with a recording
+    ``obs_sink`` attached: the assertions must hold on both, so
+    observation can never change a lock decision."""
     return request.param
 
 
 def make_lock_manager(observed: bool, **kwargs) -> LockManager:
-    """A lock manager, bare or with ``trace``, ``obs_sink`` and
-    ``wait_observer`` all recording into a private log."""
-    if not observed:
-        return LockManager(**kwargs)
-    log: List[tuple] = []
-    kwargs.setdefault("trace", True)
-    kwargs.setdefault("wait_observer", lambda event, request: log.append((event, request.txn_id)))
-    lm = LockManager(**kwargs)
-    lm.obs_sink = lambda event, **fields: log.append((event, fields))
-    return lm
+    """A lock manager, bare or with an ``obs_sink`` recording into a
+    private log (and passing each event on to any ``obs_sink`` given)."""
+    if observed:
+        log: List[tuple] = []
+        inner = kwargs.get("obs_sink")
+
+        def sink(event: str, **fields) -> None:
+            log.append((event, fields))
+            if inner is not None:
+                inner(event, **fields)
+
+        kwargs["obs_sink"] = sink
+    return LockManager(**kwargs)

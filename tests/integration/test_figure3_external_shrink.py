@@ -36,8 +36,8 @@ R15 = rect(4.0, 1.5, 4.5, 2.5)
 R16 = rect(3.5, 1.5, 4.2, 2.2)
 
 
-def setup(policy, seed=0, trace=False):
-    sim, index, history = make_sim_index(policy=policy, max_entries=4, seed=seed, trace=trace)
+def setup(policy, seed=0):
+    sim, index, history = make_sim_index(policy=policy, max_entries=4, seed=seed)
     cfg = RTreeConfig(max_entries=4, min_entries=2, universe=TEN)
     tree, names = build_manual_tree(cfg, LEAVES, GROUPING)
     adopt_manual_tree(index, tree, names)

@@ -39,6 +39,29 @@ def lock_set(result):
     return set(result.locks_taken)
 
 
+def granted_during(lm, action):
+    """Run ``action``; return its result and the (resource, mode, duration)
+    of every lock the manager granted meanwhile, as its ``obs_sink``
+    reports them."""
+    granted = set()
+
+    def sink(event, **fields):
+        if event == "lock.acquire" and fields["granted"]:
+            granted.add((fields["resource"], fields["mode"], fields["duration"]))
+
+    lm.obs_sink = sink
+    try:
+        result = action()
+    finally:
+        lm.obs_sink = None
+    return result, granted
+
+
+def unit(resource, mode, duration):
+    """A lock unit in the form :func:`granted_during` reports it."""
+    return (repr(resource), mode.value, duration.value)
+
+
 class TestReadOperations:
     def test_read_scan_s_on_all_overlapping_granules(self):
         index, names = make_index()
@@ -244,16 +267,14 @@ class TestDeleteRows:
         lm = index.lock_manager
         with index.transaction() as txn:
             index.delete(txn, "a2", rect(2.5, 2.5, 3, 3))  # boundary object
-        lm.tracing = True
-        lm.clear_trace()
-        assert index.vacuum() == 1
-        trace = {(e.resource, e.mode, e.duration) for e in lm.trace}
-        assert (ResourceId.leaf(names["leaf0"]), IX, SHORT) in trace
-        assert (ResourceId.obj("a2"), X, COMMIT) in trace
+        removed, trace = granted_during(lm, index.vacuum)
+        assert removed == 1
+        assert unit(ResourceId.leaf(names["leaf0"]), IX, SHORT) in trace
+        assert unit(ResourceId.obj("a2"), X, COMMIT) in trace
         # a2 touched g1's boundary, so ext(root) shrank
-        assert (ResourceId.ext(names["root"]), SIX, SHORT) in trace
+        assert unit(ResourceId.ext(names["root"]), SIX, SHORT) in trace
         # no SIX on the granule itself in the non-underflow case
-        assert (ResourceId.leaf(names["leaf0"]), SIX, SHORT) not in trace
+        assert unit(ResourceId.leaf(names["leaf0"]), SIX, SHORT) not in trace
 
     def test_deferred_delete_underflow_takes_six(self):
         """Row 'Delete (Deferred)', node becomes underfull: short SIX on g,
@@ -262,12 +283,10 @@ class TestDeleteRows:
         lm = index.lock_manager
         with index.transaction() as txn:
             index.delete(txn, "a2", rect(2.5, 2.5, 3, 3))
-        lm.tracing = True
-        lm.clear_trace()
-        assert index.vacuum() == 1  # removes a2 -> g1 underflows, a1 orphaned
-        trace = {(e.resource, e.mode, e.duration) for e in lm.trace}
-        assert (ResourceId.leaf(names["leaf0"]), SIX, SHORT) in trace
-        assert (ResourceId.obj("a2"), X, COMMIT) in trace
+        removed, trace = granted_during(lm, index.vacuum)
+        assert removed == 1  # removes a2 -> g1 underflows, a1 orphaned
+        assert unit(ResourceId.leaf(names["leaf0"]), SIX, SHORT) in trace
+        assert unit(ResourceId.obj("a2"), X, COMMIT) in trace
         # a1 survives, re-inserted somewhere in the tree
         with index.transaction() as txn:
             assert index.read_single(txn, "a1", rect(1, 1, 2, 2)).found

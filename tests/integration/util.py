@@ -18,11 +18,10 @@ def make_sim_index(
     max_entries: int = 4,
     universe: Rect = TEN,
     seed: int = 0,
-    trace: bool = False,
 ) -> Tuple[Simulator, PhantomProtectedRTree, History]:
     """A simulator-wired DGL index with history recording."""
     sim = Simulator(seed=seed)
-    lm = LockManager(wait_strategy=SimulatedWait(sim), trace=trace)
+    lm = LockManager(wait_strategy=SimulatedWait(sim))
     history = History()
     index = PhantomProtectedRTree(
         RTreeConfig(max_entries=max_entries, universe=universe),

@@ -14,7 +14,15 @@ from repro.lock import (
     ResourceId,
     WouldBlock,
 )
-from repro.lock.manager import LockError, SingleThreadedWait, ThreadedWait, _resource_order
+from repro.lock.manager import (
+    DeadlockError,
+    LockError,
+    LockManager,
+    LockTimeout,
+    SingleThreadedWait,
+    ThreadedWait,
+    _resource_order,
+)
 from tests.conftest import make_lock_manager
 
 S, X, IX, IS, SIX = LockMode.S, LockMode.X, LockMode.IX, LockMode.IS, LockMode.SIX
@@ -141,13 +149,16 @@ class TestIntrospection:
         assert not lm.has_conflicting_holder(R2, X)
 
     def test_trace_records_grants_and_denials(self, observed):
-        lm = make_lock_manager(observed, wait_strategy=SingleThreadedWait(), trace=True)
+        events = []
+        lm = make_lock_manager(
+            observed,
+            wait_strategy=SingleThreadedWait(),
+            obs_sink=lambda event, **fields: events.append((event, fields)),
+        )
         lm.acquire("t1", R1, X)
         lm.acquire("t2", R1, S, conditional=True)
-        assert len(lm.trace) == 2
-        assert lm.trace[0].granted and not lm.trace[1].granted
-        lm.clear_trace()
-        assert lm.trace == []
+        acquires = [fields for event, fields in events if event == "lock.acquire"]
+        assert [(f["txn"], f["granted"]) for f in acquires] == [("t1", True), ("t2", False)]
 
     def test_acquisition_counters(self, lm):
         lm.acquire("t1", R1, S)
@@ -198,8 +209,8 @@ class TestCanonicalWakeOrder:
         lm = make_lock_manager(
             observed,
             wait_strategy=SimulatedWait(sim, strict=True),
-            wait_observer=lambda event, request: (
-                grants.append(request.resource) if event == "grant" else None
+            obs_sink=lambda event, **fields: (
+                grants.append(fields["resource"]) if event == "lock.grant" else None
             ),
         )
 
@@ -226,7 +237,7 @@ class TestCanonicalWakeOrder:
 
     def test_release_all_wakes_in_resource_order(self, observed):
         grants = self._grant_order(observed, COMMIT, lambda lm: lm.release_all("holder"))
-        assert grants == sorted(self.RESOURCES, key=_resource_order)
+        assert grants == [repr(r) for r in sorted(self.RESOURCES, key=_resource_order)]
 
     def test_end_operation_wakes_in_resource_order(self, observed):
         def free(lm):
@@ -234,7 +245,7 @@ class TestCanonicalWakeOrder:
             lm.release_all("holder")
 
         grants = self._grant_order(observed, SHORT, free)
-        assert grants == sorted(self.RESOURCES, key=_resource_order)
+        assert grants == [repr(r) for r in sorted(self.RESOURCES, key=_resource_order)]
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -284,4 +295,148 @@ class TestThreadedWaitSharedCondition:
         assert sorted(granted) == ["w0", "w1", "w2", "w3"]
         for idx in range(len(resources)):
             lm.release_all(f"w{idx}")
+        assert lm.outstanding() == (0, 0)
+
+
+class TestOneObservationSeam:
+    """``obs_sink`` alone reports every lock decision: each of the eight
+    ``lock.*`` events, with exactly these field names in this order."""
+
+    FIELDS = {
+        "lock.acquire": ["txn", "resource", "mode", "duration", "granted", "waited"],
+        "lock.enqueue": ["txn", "resource", "mode", "duration"],
+        "lock.grant": ["txn", "resource", "mode", "duration"],
+        "lock.abort": ["txn", "resource", "mode", "duration"],
+        "lock.timeout": ["txn", "resource", "mode", "duration"],
+        "lock.release": ["txn", "resource", "mode", "duration"],
+        "lock.end_op": ["txn", "resources"],
+        "lock.release_all": ["txn"],
+    }
+
+    def _simulated(self, bodies):
+        """Run ``(name, delay, body(lm))`` processes under the simulator;
+        return the sink's ``(event, fields)`` log."""
+        sim = Simulator()
+        events = []
+        lm = LockManager(
+            wait_strategy=SimulatedWait(sim, strict=True),
+            obs_sink=lambda event, **fields: events.append((event, fields)),
+        )
+        for name, delay, body in bodies:
+            sim.spawn(name, lambda body=body: body(lm, sim), delay=delay)
+        sim.run()
+        sim.raise_process_errors()
+        assert lm.outstanding() == (0, 0)
+        return events
+
+    def _check_fields(self, events):
+        for event, fields in events:
+            assert list(fields) == self.FIELDS[event], event
+
+    @staticmethod
+    def _summary(events):
+        return [
+            (event, fields["txn"], fields.get("granted"), fields.get("waited"))
+            for event, fields in events
+        ]
+
+    def test_grants_denial_waits_and_releases(self):
+        def a(lm, sim):
+            assert lm.acquire("a", R1, X, SHORT)
+            assert lm.acquire("a", R2, S, SHORT)
+            sim.checkpoint(10.0)  # b is denied, then queues on R1
+            lm.release("a", R2, S, SHORT)
+            lm.end_operation("a")  # frees R1: b is granted
+            lm.release_all("a")
+
+        def b(lm, sim):
+            assert not lm.acquire("b", R1, S, conditional=True)
+            assert lm.acquire("b", R1, S)
+            lm.release_all("b")
+
+        events = self._simulated([("a", 0.0, a), ("b", 1.0, b)])
+        self._check_fields(events)
+        assert self._summary(events) == [
+            ("lock.acquire", "a", True, False),
+            ("lock.acquire", "a", True, False),
+            ("lock.acquire", "b", False, False),
+            ("lock.enqueue", "b", None, None),
+            ("lock.release", "a", None, None),
+            ("lock.end_op", "a", None, None),
+            ("lock.grant", "b", None, None),
+            ("lock.release_all", "a", None, None),
+            ("lock.acquire", "b", True, True),
+            ("lock.release_all", "b", None, None),
+        ]
+        assert events[4][1] == {
+            "txn": "a", "resource": repr(R2), "mode": "S", "duration": "short"
+        }
+        assert events[5][1] == {"txn": "a", "resources": [[repr(R1), "X"]]}
+        assert events[6][1] == {
+            "txn": "b", "resource": repr(R1), "mode": "S", "duration": "commit"
+        }
+
+    def test_deadlock_victim_wait_is_aborted(self):
+        def a(lm, sim):
+            assert lm.acquire("a", R1, X)
+            sim.checkpoint(5.0)
+            assert lm.acquire("a", R2, X)  # waits for b, granted once b dies
+            lm.release_all("a")
+
+        def b(lm, sim):
+            assert lm.acquire("b", R2, X)
+            sim.checkpoint(10.0)
+            with pytest.raises(DeadlockError):
+                lm.acquire("b", R1, X)  # closes the cycle; b is younger
+            lm.release_all("b")
+
+        events = self._simulated([("a", 0.0, a), ("b", 1.0, b)])
+        self._check_fields(events)
+        waits = [(e, f["txn"], f["resource"]) for e, f in events if e in (
+            "lock.enqueue", "lock.grant", "lock.abort")]
+        assert waits == [
+            ("lock.enqueue", "a", repr(R2)),
+            ("lock.enqueue", "b", repr(R1)),
+            ("lock.abort", "b", repr(R1)),
+            ("lock.grant", "a", repr(R2)),
+        ]
+
+    def test_release_all_aborts_its_own_wait(self):
+        def a(lm, sim):
+            assert lm.acquire("a", R1, X)
+            sim.checkpoint(10.0)  # b queues meanwhile
+            lm.release_all("b")  # b is terminated while it waits
+            lm.release_all("a")
+
+        def b(lm, sim):
+            with pytest.raises(LockError, match="terminated"):
+                lm.acquire("b", R1, S)
+
+        events = self._simulated([("a", 0.0, a), ("b", 1.0, b)])
+        self._check_fields(events)
+        assert [(e, f["txn"]) for e, f in events] == [
+            ("lock.acquire", "a"),
+            ("lock.enqueue", "b"),
+            ("lock.abort", "b"),
+            ("lock.release_all", "b"),
+            ("lock.release_all", "a"),
+        ]
+
+    def test_threaded_wait_timeout(self):
+        events = []
+        lm = LockManager(
+            wait_strategy=ThreadedWait(),
+            obs_sink=lambda event, **fields: events.append((event, fields)),
+        )
+        assert lm.acquire("a", R1, X)
+        with pytest.raises(LockTimeout):
+            lm.acquire("b", R1, S, timeout=0.05)
+        lm.release_all("a")
+        self._check_fields(events)
+        assert [(e, f["txn"]) for e, f in events] == [
+            ("lock.acquire", "a"),
+            ("lock.enqueue", "b"),
+            ("lock.timeout", "b"),
+            ("lock.release_all", "a"),
+        ]
         assert lm.outstanding() == (0, 0)

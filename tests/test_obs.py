@@ -280,6 +280,20 @@ class TestTraceSeams:
         assert index.protocol.tracer is None
         assert index.lock_manager.obs_sink is None
 
+    def test_attach_chains_an_installed_obs_sink(self):
+        index = PhantomProtectedRTree(RTreeConfig(universe=TEN, max_entries=4))
+        seen = []
+        installed = lambda event, **fields: seen.append(event)  # noqa: E731
+        index.lock_manager.obs_sink = installed
+        tracer = EventTracer(clock=lambda: 0.0)
+        handle = instrument_index(index, tracer)
+        with index.transaction() as txn:
+            index.insert(txn, "a", rect(0, 0, 1, 1))
+        traced = [e["type"] for e in tracer.events if e["type"].startswith("lock.")]
+        assert traced and seen == traced
+        handle.detach()
+        assert index.lock_manager.obs_sink is installed
+
     def test_buffer_miss_and_vacuum_enqueue_traced(self):
         index, tracer, _ = _traced_index(max_entries=4)
         with index.transaction() as txn:

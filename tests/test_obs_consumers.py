@@ -1,5 +1,6 @@
 """Tests for the trace consumers: critical-path forensics, the report
-differ and the HTML dashboard renderer.
+differ, the HTML dashboard renderer, and the one lock replay that the
+profiler, critical-path forensics and auditor share.
 
 The integration fixtures record real stress-harness traces (simulator
 clock, so byte-stable per seed); determinism assertions compare two
@@ -11,7 +12,7 @@ import json
 
 import pytest
 
-from repro.obs import EventTracer, analyze_events, load_jsonl
+from repro.obs import EventTracer, ProtocolAuditor, analyze_events, load_jsonl
 from repro.obs.critical_path import (
     analyze_critical_path,
     critical_path_from_trace,
@@ -39,6 +40,142 @@ def traces(tmp_path_factory):
         "a2": _record(tmp_path, "a2.jsonl", seed=5),  # independent re-recording
         "b": _record(tmp_path, "b.jsonl", seed=9),
     }
+
+
+def _stream(*specs):
+    """Build an event list from (type, fields) pairs, stamping seq/ts."""
+    return [
+        dict({"seq": seq, "ts": float(seq), "type": etype}, **fields)
+        for seq, (etype, fields) in enumerate(specs)
+    ]
+
+
+def _lock(etype, txn, resource, mode, duration, **extra):
+    return (etype, dict(txn=txn, resource=resource, mode=mode, duration=duration, **extra))
+
+
+def _acquire(txn, resource, mode, duration, waited=False):
+    return _lock("lock.acquire", txn, resource, mode, duration, granted=True, waited=waited)
+
+
+def _op(etype, txn, kind, ok=True):
+    fields = {"txn": txn, "op": txn * 10, "kind": kind}
+    if etype == "op.end":
+        fields["ok"] = ok
+    return (etype, fields)
+
+
+#: t1 converts leaf:1 and waits for t3 on ext:5; t3 closes a deadlock on
+#: leaf:1 and is the victim; t2 and t4 queue behind t1's commit lock, which
+#: outlives its end_op; t5 queues behind the readers t1's release_all lets in
+AGREEMENT_STREAM = _stream(
+    ("txn.begin", {"txn": 1, "name": "t1"}),
+    ("txn.begin", {"txn": 2, "name": "t2"}),
+    ("txn.begin", {"txn": 3, "name": "t3"}),
+    _op("op.begin", 1, "insert"),
+    _acquire(1, "leaf:1", "IX", "commit"),
+    _acquire(1, "leaf:1", "SIX", "short"),
+    _op("op.begin", 2, "read_scan"),
+    _lock("lock.enqueue", 2, "leaf:1", "S", "commit"),
+    _op("op.begin", 3, "read_scan"),
+    _acquire(3, "ext:5", "S", "commit"),
+    _lock("lock.enqueue", 1, "ext:5", "IX", "short"),
+    _lock("lock.enqueue", 3, "leaf:1", "S", "commit"),
+    _lock("lock.abort", 3, "leaf:1", "S", "commit"),
+    _op("op.end", 3, "read_scan", ok=False),
+    ("txn.abort", {"txn": 3}),
+    _lock("lock.grant", 1, "ext:5", "IX", "short"),
+    ("lock.release_all", {"txn": 3}),
+    _acquire(1, "ext:5", "IX", "short", waited=True),
+    _acquire(1, "obj:a", "X", "commit"),
+    _op("op.end", 1, "insert"),
+    ("lock.end_op", {"txn": 1, "resources": [["leaf:1", "SIX"], ["ext:5", "IX"]]}),
+    ("txn.begin", {"txn": 4, "name": "t4"}),
+    _op("op.begin", 4, "read_scan"),
+    _lock("lock.enqueue", 4, "leaf:1", "S", "commit"),
+    _lock("lock.grant", 2, "leaf:1", "S", "commit"),
+    _lock("lock.grant", 4, "leaf:1", "S", "commit"),
+    ("lock.release_all", {"txn": 1}),
+    ("txn.commit", {"txn": 1}),
+    _acquire(2, "leaf:1", "S", "commit", waited=True),
+    _acquire(4, "leaf:1", "S", "commit", waited=True),
+    ("txn.begin", {"txn": 5, "name": "t5"}),
+    _op("op.begin", 5, "update_scan"),
+    _lock("lock.enqueue", 5, "leaf:1", "SIX", "commit"),
+    _op("op.end", 2, "read_scan"),
+    ("lock.release_all", {"txn": 2}),
+    ("txn.commit", {"txn": 2}),
+    _op("op.end", 4, "read_scan"),
+    _lock("lock.grant", 5, "leaf:1", "SIX", "commit"),
+    ("lock.release_all", {"txn": 4}),
+    ("txn.commit", {"txn": 4}),
+    _acquire(5, "leaf:1", "SIX", "commit", waited=True),
+    _op("op.end", 5, "update_scan"),
+    ("lock.release_all", {"txn": 5}),
+    ("txn.commit", {"txn": 5}),
+)
+
+
+def _profiler_waits(header, events):
+    return sorted(
+        (str(w["waiter"]), w["resource"], float(w["ts"]), tuple(w["holders"]))
+        for w in analyze_events(header, events)["waits_for"]
+    )
+
+
+def _critpath_waits(header, events):
+    report = analyze_critical_path(header, events, top=len(events))
+    return sorted(
+        (str(record["txn"]), seg["resource"], seg["start"], tuple(seg["holders"]))
+        for record in report["critical_paths"]
+        for seg in record["segments"]
+    )
+
+
+class TestConsumersAgree:
+    """The profiler, critical-path forensics and auditor drive one lock
+    replay, so they agree on who held what at every wait."""
+
+    def test_synthetic_stream(self):
+        events = AGREEMENT_STREAM
+        report = analyze_events({}, events)
+        assert [(w["waiter"], w["resource"], w["holders"]) for w in report["waits_for"]] == [
+            (2, "leaf:1", ["1"]),
+            (1, "ext:5", ["3"]),
+            (3, "leaf:1", ["1"]),
+            (4, "leaf:1", ["1"]),  # t1's commit IX outlives its end_op
+            (5, "leaf:1", ["2", "4"]),  # waited grants hold; t1 is gone
+        ]
+        lock_waits = report["lock_waits"]
+        assert (lock_waits["granted"], lock_waits["aborted"], lock_waits["unresolved"]) == (4, 1, 0)
+
+        critpath = analyze_critical_path({}, events)
+        segments = {
+            record["txn"]: [(s["resource"], s["outcome"], s["holders"]) for s in record["segments"]]
+            for record in critpath["critical_paths"]
+        }
+        assert segments == {
+            1: [("ext:5", "granted", ["3"])],
+            2: [("leaf:1", "granted", ["1"])],
+            3: [("leaf:1", "aborted", ["1"])],
+            4: [("leaf:1", "granted", ["1"])],
+            5: [("leaf:1", "granted", ["2", "4"])],
+        }
+        assert _profiler_waits({}, events) == _critpath_waits({}, events)
+
+        auditor = ProtocolAuditor().replay(events)
+        assert auditor.ok, [str(v) for v in auditor.violations]
+        assert auditor.verdict()["open_waits"] == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_recorded_seeds(self, seed):
+        tracer = EventTracer(meta={"seed": seed})
+        assert run_stress(StressConfig(seed=seed), tracer=tracer).ok
+        header, events = tracer.header(), list(tracer.events)
+        waits = _profiler_waits(header, events)
+        assert waits, "the seed must produce lock waits"
+        assert waits == _critpath_waits(header, events)
+        assert ProtocolAuditor().replay(events).ok
 
 
 class TestCriticalPath:

@@ -22,6 +22,7 @@ from repro.stress import (
     save_artifact,
 )
 from repro.stress.__main__ import main as stress_main, parse_seeds
+from repro.stress.oracle import check_wait_events
 
 #: a pinned seed where the NAIVE policy demonstrably produces a phantom
 #: under the default fault plan (found by sweep; deterministic forever)
@@ -72,6 +73,30 @@ class TestHarnessBasics:
         assert result.ok
         assert result.injected_aborts == 0
         assert result.cancellations == 0
+
+
+class TestWaitEventBalance:
+    """Every lock wait is one ``enqueue`` closed by one grant, abort or
+    timeout, and the manager's ``wait_count`` counts the same waits."""
+
+    def test_run_counts_balance(self):
+        result = run_stress(StressConfig(seed=0))
+        events = result.wait_events
+        assert events["enqueue"] == result.lock_waits > 0
+        closed = sum(events.get(name, 0) for name in ("grant", "abort", "timeout"))
+        assert closed == events["enqueue"]
+        assert result.ok
+
+    def test_unbalanced_counts_are_a_violation(self):
+        assert check_wait_events({"enqueue": 3, "grant": 2, "abort": 1}, 3) == []
+        for events, wait_count in [
+            ({"enqueue": 3, "grant": 2}, 3),  # a wait never closed
+            ({"enqueue": 3, "grant": 3, "timeout": 1}, 3),  # one closed twice
+            ({"enqueue": 3, "grant": 3}, 4),  # a counted wait never reported
+        ]:
+            (violation,) = check_wait_events(events, wait_count)
+            assert violation.kind == "invariant"
+            assert "wait events do not balance" in violation.detail
 
 
 class TestOracleSensitivity:
