@@ -202,7 +202,7 @@ class PhantomProtectedRTree:
         """Insert an object (Table 3 rows "Insert ...")."""
         self.tree.check_dim(rect)
         result = InsertResult()
-        with self._operation(txn, result, "insert") as ctx:
+        with self._operation(txn, result, "insert", oid) as ctx:
             # The undo action is registered *before* the structure changes
             # and armed the moment it does, so a deadlock abort between the
             # modification and the post-split locks still rolls it back.
@@ -225,7 +225,7 @@ class PhantomProtectedRTree:
         """Logically delete an object (§3.6); physical removal is deferred."""
         self.tree.check_dim(rect)
         result = DeleteResult()
-        with self._operation(txn, result, "delete") as ctx:
+        with self._operation(txn, result, "delete", oid) as ctx:
             leaf_id = self.protocol.logical_delete(ctx, oid, rect)
             result.found = leaf_id is not None
             if leaf_id is not None:
@@ -240,7 +240,7 @@ class PhantomProtectedRTree:
         """Read one object by id (Table 3: S lock on the object only)."""
         self.tree.check_dim(rect)
         result = SingleResult()
-        with self._operation(txn, result, "read_single") as ctx:
+        with self._operation(txn, result, "read_single", oid) as ctx:
             entry = self.protocol.lock_read_single(ctx, oid, rect)
             if entry is not None:
                 result.found = True
@@ -277,7 +277,7 @@ class PhantomProtectedRTree:
         as delete + insert, as the paper prescribes."""
         self.tree.check_dim(rect)
         result = SingleResult()
-        with self._operation(txn, result, "update_single") as ctx:
+        with self._operation(txn, result, "update_single", oid) as ctx:
             entry = self.protocol.lock_update_single(ctx, oid, rect)
             if entry is not None:
                 result.found = True
@@ -360,7 +360,12 @@ class PhantomProtectedRTree:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def _operation(self, txn: Transaction, result: OpResult, kind: str) -> Iterator[OpContext]:
+    def _operation(
+        self, txn: Transaction, result: OpResult, kind: str, oid: Optional[ObjectId] = None
+    ) -> Iterator[OpContext]:
+        """One operation span.  Single-object operations pass ``oid``: the
+        trace then carries it on ``op.begin`` and whether the operation
+        found its object on ``op.end`` (an insert finds the one it adds)."""
         if not txn.is_active:
             raise TransactionAborted(txn.txn_id, txn.abort_reason or "not active")
         ctx = OpContext(txn.txn_id)
@@ -369,7 +374,13 @@ class PhantomProtectedRTree:
         span = None
         if tracer is not None:
             span = tracer.next_span_id()
-            tracer.emit("op.begin", op=span, txn=txn.txn_id, kind=kind)
+            tracer.emit(
+                "op.begin",
+                op=span,
+                txn=txn.txn_id,
+                kind=kind,
+                **({} if oid is None else {"oid": oid}),
+            )
         ok = False
         try:
             yield ctx
@@ -401,6 +412,7 @@ class PhantomProtectedRTree:
                     waits=ctx.waits,
                     restarts=ctx.restarts,
                     changed_boundaries=getattr(result, "changed_boundaries", None),
+                    **({} if oid is None else {"found": getattr(result, "found", ok)}),
                 )
             if txn.is_active:
                 self.protocol.end_operation(ctx)

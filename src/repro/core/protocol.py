@@ -51,13 +51,13 @@ SHORT, COMMIT = LockDuration.SHORT, LockDuration.COMMIT
 #: Table 3, one row per operation kind: every (namespace, mode, duration)
 #: triple the protocol may legitimately request while executing that kind
 #: (including the post-split and inherited-coverage variants).  This is
-#: the single source of truth for lock-pattern conformance -- the stress
-#: oracle checks recorded operations against it post hoc and the online
-#: auditor (:mod:`repro.obs.auditor`) checks the live event stream
-#: against it, so a protocol change that widens a row updates both at
-#: once.  Keys are the operation-kind strings carried by ``op.begin``
-#: events; ``physical_delete`` covers the §3.7 deferred-delete system
-#: transactions, which run outside operation spans.
+#: the single source of truth for lock-pattern conformance: the online
+#: auditor (:mod:`repro.obs.auditor`), which every stress run carries,
+#: checks the live event stream against it, so a protocol change that
+#: widens a row updates the check at once.  Keys are the operation-kind
+#: strings carried by ``op.begin`` events; ``physical_delete`` covers the
+#: §3.7 deferred-delete system transactions, which run outside operation
+#: spans.
 TABLE3_ALLOWED: dict = {
     "read_scan": {("leaf", S, COMMIT), ("ext", S, COMMIT)},
     "read_single": {("obj", S, COMMIT)},
@@ -107,7 +107,8 @@ TABLE3_ALLOWED: dict = {
 }
 
 #: object-lock mode each operation must hold on its target when it finds
-#: it (the "first touch takes the object lock" rule of Table 3)
+#: it (the "first touch takes the object lock" rule of Table 3; the
+#: auditor's ``first-touch`` rule)
 TABLE3_REQUIRED_OBJ_MODE: dict = {
     "insert": X,
     "delete": X,
@@ -217,25 +218,18 @@ class GranuleLockProtocol:
         self.policy = policy
         #: physical-consistency latch (see module docstring)
         self.latch = threading.RLock()
-        #: stress-harness instrumentation: called with ``(tag, ctx,
-        #: resource)`` at every yield point -- operation loop heads,
-        #: restarts, and the post-lock phase.  ``ctx`` identifies the
-        #: transaction; ``resource`` is the :class:`ResourceId` whose
-        #: blocked lock want caused a restart (``None`` at plain loop-head
-        #: and post-lock yields), so observers get full context without
-        #: reverse-engineering the lock table.  Every call site is OUTSIDE
-        #: the latch (and all lock-manager mutexes), so the hook may
-        #: context-switch the simulator or raise an injected fault without
-        #: deadlocking the protocol.  ``None`` (production) costs one
-        #: attribute test.
-        self.yield_hook: Optional[
-            Callable[[str, OpContext, Optional[ResourceId]], None]
-        ] = None
-        #: observability tracer (see :mod:`repro.obs`): receives
-        #: ``op.phase`` events at every yield point and ``granule.*``
-        #: events after each structure modification.  ``None`` (default)
-        #: costs one attribute test per seam.
-        self.tracer = None
+        #: the protocol's one observation seam, with the lock manager's
+        #: ``obs_sink`` signature ``(event, **fields)``: ``op.phase``
+        #: (``txn``, ``tag``, ``resource``) at every yield point --
+        #: operation loop heads, restarts (``resource`` is the blocked
+        #: want's resource, as a string) and the post-lock phase -- and
+        #: ``granule.*`` after each structure modification.  Every call
+        #: site is OUTSIDE the latch and all lock-manager mutexes, so,
+        #: unlike an :class:`~repro.obs.tracer.EventTracer` sink, this
+        #: sink may block (context-switch the simulator) or raise (an
+        #: injected fault) without deadlocking the protocol.  ``None``
+        #: (production) costs one attribute test per seam.
+        self.obs_sink: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
     # lock plumbing
@@ -310,21 +304,19 @@ class GranuleLockProtocol:
         self._yield("restart", ctx, blocked[0] if blocked is not None else None)
 
     def _yield(self, tag: str, ctx: OpContext, resource: Optional[ResourceId] = None) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
+        sink = self.obs_sink
+        if sink is not None:
+            sink(
                 "op.phase",
                 txn=ctx.txn_id,
                 tag=tag,
                 resource=None if resource is None else repr(resource),
             )
-        if self.yield_hook is not None:
-            self.yield_hook(tag, ctx, resource)
 
     def _trace_report(self, ctx: OpContext, report: SMOReport) -> None:
         """Emit the granule-shape events of one structure modification."""
-        tracer = self.tracer
-        if tracer is None:
+        sink = self.obs_sink
+        if sink is None:
             return
 
         def _bounds(rect) -> Optional[List[List[float]]]:
@@ -332,7 +324,7 @@ class GranuleLockProtocol:
 
         txn = ctx.txn_id
         for g in report.growth:
-            tracer.emit(
+            sink(
                 "granule.grow",
                 txn=txn,
                 page=g.page_id,
@@ -342,7 +334,7 @@ class GranuleLockProtocol:
                 new_mbr=_bounds(g.new_mbr),
             )
         for split in report.splits:
-            tracer.emit(
+            sink(
                 "granule.split",
                 txn=txn,
                 old=split.old_id,
@@ -351,9 +343,9 @@ class GranuleLockProtocol:
                 level=split.level,
             )
         for page_id in report.eliminated:
-            tracer.emit("granule.eliminate", txn=txn, page=page_id)
+            sink("granule.eliminate", txn=txn, page=page_id)
         for record in report.reinserted:
-            tracer.emit(
+            sink(
                 "granule.reinsert",
                 txn=txn,
                 oid=record.entry.oid,
@@ -821,10 +813,10 @@ class GranuleLockProtocol:
             self._restart(ctx, blocked)
             self._wait_for(ctx, blocked)
         self._trace_report(ctx, report)
-        if target_level > 0 and self.tracer is not None:
+        if target_level > 0 and self.obs_sink is not None:
             # Child-entry re-insertions produce no ReinsertRecord (those
             # are data-entry-only); emit the event directly.
-            self.tracer.emit(
+            self.obs_sink(
                 "granule.reinsert",
                 txn=ctx.txn_id,
                 oid=None,

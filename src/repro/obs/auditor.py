@@ -1,10 +1,12 @@
 """The online protocol auditor: streaming Table-3 conformance checking.
 
-Where the stress oracle (:mod:`repro.stress.oracle`) re-examines a run
-*after* it completes, the auditor checks the ``dgl-trace/1`` event stream
-*as it is emitted*: attach it as a sink on the tracer
-(``tracer.add_sink(auditor.on_event)``) and every event is validated
-against the protocol's invariants the moment it happens.  The rules, in
+Where the stress oracle (:mod:`repro.stress.oracle`) re-examines a run's
+history and final state *after* it completes, the auditor checks the
+``dgl-trace/1`` event stream *as it is emitted*; it is the one place
+Table 3's lock patterns are checked, and every stress run carries it.
+Attach it as a sink on the tracer (``tracer.add_sink(auditor.on_event)``)
+and every event is validated against the protocol's invariants the
+moment it happens.  The rules, in
 the order a failing event trips them:
 
 ``wait-discipline``
@@ -29,9 +31,17 @@ the order a failing event trips them:
     enqueue) inside an operation span must be a
     ``(namespace, mode, duration)`` triple Table 3 allows for that span's
     kind -- checked against :data:`repro.core.protocol.TABLE3_ALLOWED`,
-    the same table the protocol implements and the stress oracle checks.
+    the same table the protocol implements.
     Locks requested outside any span are allowed only for §3.7 vacuum
     system transactions (the ``physical_delete`` row).
+``first-touch``
+    An operation that takes one object (``insert``, ``delete``,
+    ``read_single``, ``update_single``) and ends ``ok`` having found it
+    must, at ``op.end``, hold a lock on ``obj:<oid>`` whose mode covers
+    the one :data:`repro.core.protocol.TABLE3_REQUIRED_OBJ_MODE` names
+    for its kind (S for reads, X for writes); a lock the transaction took
+    in an earlier operation counts.  ``pattern`` only bounds what a span
+    requests, so this is the rule that sees a lock the protocol forgot.
 ``fence``
     The §3.3/§3.4 growth fences: when a granule's boundary grows, the
     growing transaction must at that moment hold a short SIX on the
@@ -121,12 +131,20 @@ class ProtocolAuditor:
     ) -> None:
         self.max_violations = max_violations
         self.on_violation = on_violation
+        # imported lazily: repro.obs loads during repro.core's own
+        # initialisation (storage.stats pulls the metrics registry), so
+        # the protocol tables cannot be module-level imports here
+        from repro.core.protocol import TABLE3_REQUIRED_OBJ_MODE
+        from repro.lock.modes import LockMode, covers
+
         if table is None:
-            # imported lazily: repro.obs loads during repro.core's own
-            # initialisation (storage.stats pulls the metrics registry),
-            # so the protocol table cannot be a module-level import here
             from repro.core.protocol import TABLE3_ALLOWED as table
         self._allowed = _stringify_table(table)
+        #: kind -> (required object-lock mode, the modes covering it)
+        self._first_touch = {
+            kind: (needed.value, tuple(m.value for m in LockMode if covers(m, needed)))
+            for kind, needed in TABLE3_REQUIRED_OBJ_MODE.items()
+        }
         self.violations: List[AuditViolation] = []
         self.suppressed = 0  # findings beyond max_violations
         self.events_seen = 0
@@ -134,7 +152,7 @@ class ProtocolAuditor:
         #: who holds and who waits for what (the replay the profiler and
         #: critical-path forensics drive too)
         self.locks = LockReplay()
-        #: txn -> open operation span {"op", "kind"}
+        #: txn -> open operation span {"op", "kind", "oid"}
         self._ops: Dict[object, Dict[str, object]] = {}
         self._names: Dict[object, object] = {}
         self._ended: Set[object] = set()
@@ -204,6 +222,22 @@ class ProtocolAuditor:
                 event,
                 f"({namespace}, {mode}, {duration}) on {resource} is outside "
                 f"the Table 3 row for {kind}",
+            )
+
+    # -- Table 3 first touch -------------------------------------------
+
+    def _check_first_touch(self, event: Dict[str, object], span: Dict[str, object]) -> None:
+        rule = self._first_touch.get(str(span["kind"]))
+        if rule is None or span["oid"] is None:
+            return
+        needed, covering = rule
+        resource = f"obj:{span['oid']}"
+        if not self.locks.holds(event.get("txn"), resource, covering):
+            self._flag(
+                "first-touch",
+                event,
+                f"{span['kind']} found {resource} without holding a covering "
+                f"{needed} lock on it",
             )
 
     # -- event dispatch ------------------------------------------------
@@ -337,11 +371,18 @@ class ProtocolAuditor:
                     f"entering a new operation with {len(shorts)} short "
                     f"lock(s) still held (first: {shorts[0][:2]})",
                 )
-            self._ops[txn] = {"op": event.get("op"), "kind": event.get("kind")}
+            self._ops[txn] = {
+                "op": event.get("op"),
+                "kind": event.get("kind"),
+                "oid": event.get("oid"),
+            }
 
         elif etype == "op.end":
-            if self._ops.pop(txn, None) is None:
+            span = self._ops.pop(txn, None)
+            if span is None:
                 self._flag("span", event, "op.end without a matching op.begin")
+            elif event.get("ok") and event.get("found"):
+                self._check_first_touch(event, span)
 
         elif etype == "txn.begin":
             self._names[txn] = event.get("name")

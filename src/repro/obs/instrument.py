@@ -1,12 +1,13 @@
 """Wiring: attach one tracer to a live index.
 
-The instrumented seams already exist in the stack -- the protocol's
-``yield_hook``-style ``tracer`` attributes, the lock manager's
-``obs_sink``, the buffer pool's and the deferred queue's ``tracer``
-slots.  :func:`instrument_index` simply plugs one
-:class:`~repro.obs.tracer.EventTracer` into all of them at once, chaining
-(not replacing) any lock-manager sink that is already installed (the
-stress harness counts wait events there).
+The instrumented seams already exist in the stack -- the protocol's and
+the lock manager's ``obs_sink``, and the ``tracer`` slots of the index,
+the buffer pool and the deferred queue.  :func:`instrument_index` simply
+plugs one :class:`~repro.obs.tracer.EventTracer` into all of them at
+once, chaining (not replacing) a sink that is already installed on
+either ``obs_sink`` (the stress harness counts wait events on the lock
+manager's and injects faults on the protocol's): the tracer records the
+event first, then the installed sink runs.
 
 Detach with the returned handle to restore the previous hooks exactly::
 
@@ -19,11 +20,28 @@ Detach with the returned handle to restore the previous hooks exactly::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.obs.tracer import EventTracer
 
 __all__ = ["instrument_index", "Instrumentation"]
+
+
+def _chain(emit: Callable[..., None], prev: Optional[Callable[..., None]]) -> Callable[..., None]:
+    """An ``obs_sink`` that records with ``emit``, then calls ``prev``.
+
+    Recording first means the event is in the trace even when ``prev``
+    blocks or raises (the protocol's sink may do both; the lock
+    manager's, called under the manager mutex, may do neither).
+    """
+    if prev is None:
+        return emit
+
+    def sink(event: str, **fields) -> None:
+        emit(event, **fields)
+        prev(event, **fields)
+
+    return sink
 
 
 class Instrumentation:
@@ -33,17 +51,17 @@ class Instrumentation:
     def __init__(self, index, tracer: EventTracer) -> None:
         self.index = index
         self.tracer = tracer
-        self._prev_obs_sink = None
+        #: the protocol and lock manager, each with its pre-attach obs_sink
+        self._prev_sinks = []
         self._attached = False
 
     def _set_tracer(self, tracer: Optional[EventTracer]) -> None:
-        # Index-level spans (txn.* / op.*), protocol-level events
-        # (op.phase / granule.*), buffer misses and vacuum passes are
-        # emitted by the instrumented classes themselves; they only need
-        # the tracer handle.
+        # Index-level spans (txn.* / op.*), buffer misses and vacuum passes
+        # are emitted by the instrumented classes themselves; they only
+        # need the tracer handle.
         index = self.index
         buffer_pool = getattr(index.tree.pager, "buffer_pool", None)
-        for seam in (index, index.protocol, index.deferred, buffer_pool):
+        for seam in (index, index.deferred, buffer_pool):
             if seam is not None:
                 seam.tracer = tracer
 
@@ -51,21 +69,9 @@ class Instrumentation:
         if self._attached:
             return self
         self._set_tracer(self.tracer)
-        # The lock manager's one seam, chained: the stress harness
-        # installs its own sink before the tracer arrives.
-        lm = self.index.lock_manager
-        self._prev_obs_sink = prev = lm.obs_sink
-        emit = self.tracer.emit
-        if prev is None:
-            lm.obs_sink = emit
-        else:
-
-            def sink(event: str, **fields) -> None:
-                # Called under the manager mutex: record only, never block.
-                emit(event, **fields)
-                prev(event, **fields)
-
-            lm.obs_sink = sink
+        for owner in (self.index.protocol, self.index.lock_manager):
+            self._prev_sinks.append((owner, owner.obs_sink))
+            owner.obs_sink = _chain(self.tracer.emit, owner.obs_sink)
         self._attached = True
         return self
 
@@ -73,7 +79,9 @@ class Instrumentation:
         if not self._attached:
             return
         self._set_tracer(None)
-        self.index.lock_manager.obs_sink = self._prev_obs_sink
+        for owner, prev in self._prev_sinks:
+            owner.obs_sink = prev
+        self._prev_sinks.clear()
         self._attached = False
 
 

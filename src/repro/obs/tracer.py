@@ -11,9 +11,10 @@ event type             emitted by / meaning
 ``txn.commit``         index: transaction committed
 ``txn.abort``          index: transaction aborted (``reason``)
 ``op.begin``           index: operation span opened (``op``, ``txn``,
-                       ``kind``)
+                       ``kind``; ``oid`` for single-object kinds)
 ``op.end``             index: span closed (``ok``, ``waits``, ``restarts``,
-                       ``changed_boundaries`` for inserts, ``dt``)
+                       ``changed_boundaries`` for inserts, ``dt``;
+                       ``found`` for single-object kinds)
 ``op.phase``           protocol yield point (``tag``, ``txn``, ``resource``
                        when the phase is a restart caused by a blocked
                        lock want)
@@ -47,8 +48,8 @@ re-enters the lock manager, and is safe to call as the lock manager's
 ``obs_sink``, which runs under the manager mutex.
 
 Disabled tracing costs the instrumented code exactly one attribute test
-per seam (``if tracer is not None``), the same pattern as the protocol's
-``yield_hook``.
+per seam (``if tracer is not None``, or ``if sink is not None`` on the
+protocol's and the lock manager's ``obs_sink``).
 """
 
 from __future__ import annotations

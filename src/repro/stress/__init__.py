@@ -11,7 +11,7 @@ from repro.stress.artifact import load_artifact, save_artifact
 from repro.stress.faults import FaultPlan, InjectedAbort
 from repro.stress.harness import StressConfig, StressResult, run_stress
 from repro.stress.minimize import MinimizeReport, minimize
-from repro.stress.oracle import OpRecord, Violation, check_run
+from repro.stress.oracle import Violation, check_run
 
 __all__ = [
     "StressConfig",
@@ -20,7 +20,6 @@ __all__ = [
     "FaultPlan",
     "InjectedAbort",
     "Violation",
-    "OpRecord",
     "check_run",
     "minimize",
     "MinimizeReport",

@@ -1,7 +1,8 @@
 """Command-line stress sweeps: ``python -m repro.stress --seed 0..99``.
 
-Runs one deterministic stress schedule per seed; any oracle violation
-fails the sweep (exit code 1) and writes a replayable JSON artifact.
+Runs one deterministic stress schedule per seed; any oracle or audit
+violation fails the sweep (exit code 1) and writes a replayable JSON
+artifact.
 ``--minimize`` shrinks each failure before writing it; ``--replay FILE``
 re-runs a saved artifact.
 """
@@ -61,21 +62,17 @@ def build_parser() -> argparse.ArgumentParser:
                              "(multi-seed sweeps get a -seedN suffix per file); "
                              "without this flag, only failing seeds are traced, "
                              "via a deterministic replay next to their artifact")
-    parser.add_argument("--no-audit", action="store_true",
-                        help="drop the online protocol auditor (on by default: "
-                             "every run streams through the flight-recorder "
-                             "auditor and audit violations fail the sweep)")
     parser.add_argument("--quiet", action="store_true", help="only print failures and the summary")
     return parser
 
 
-def _traced_run(config: StressConfig, path: str, audit: bool = True):
+def _traced_run(config: StressConfig, path: str):
     """Run one stress schedule with tracing and write its JSONL sidecar."""
     from repro.obs import EventTracer
 
     tracer = EventTracer(meta={"source": "stress", "seed": config.seed,
                                "policy": config.policy})
-    result = run_stress(config, tracer=tracer, audit=audit)
+    result = run_stress(config, tracer=tracer)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -96,10 +93,10 @@ def main(argv: List[str] = None) -> int:
     if args.replay:
         config, doc = load_artifact(args.replay)
         if args.trace:
-            result = _traced_run(config, args.trace, audit=not args.no_audit)
+            result = _traced_run(config, args.trace)
             print(f"trace: {args.trace}")
         else:
-            result = run_stress(config, audit=not args.no_audit)
+            result = run_stress(config)
         print(result.summary())
         for violation in result.violations:
             print(f"  {violation}")
@@ -131,10 +128,10 @@ def main(argv: List[str] = None) -> int:
         )
         if args.trace:
             trace_path = _trace_path(args.trace, seed, many=len(args.seed) > 1)
-            result = _traced_run(config, trace_path, audit=not args.no_audit)
+            result = _traced_run(config, trace_path)
         else:
             trace_path = None
-            result = run_stress(config, audit=not args.no_audit)
+            result = run_stress(config)
         ran += 1
         if result.ok:
             if not args.quiet:
@@ -150,9 +147,10 @@ def main(argv: List[str] = None) -> int:
             minimized = report.config
             print(f"  {report.summary()}")
         if trace_path is None:
-            # The sweep itself ran untraced (tracing is not free); replay
-            # the failing schedule deterministically with the tracer on so
-            # the artifact ships with a full event timeline.
+            # The sweep ran with only the auditor's bounded ring (a full
+            # trace costs memory); replay the failing schedule
+            # deterministically with a full tracer so the artifact ships
+            # with the whole event timeline.
             trace_path = os.path.join(args.artifact_dir, f"stress-seed{seed}.trace.jsonl")
             _traced_run(config, trace_path)
         path = os.path.join(args.artifact_dir, f"stress-seed{seed}.json")

@@ -1,11 +1,12 @@
 """Fault injection for the stress harness.
 
 All faults are *cooperative*: they act at the protocol's declared yield
-points (:attr:`GranuleLockProtocol.yield_hook`) or on parked processes via
-:meth:`Simulator.cancel`, so every injected failure unwinds through the
-same code paths a real abort would -- no thread is ever killed from the
-outside.  Everything is driven by a seeded RNG, so a given
-``(StressConfig, FaultPlan)`` replays the exact same faults.
+points (the ``op.phase`` events of :attr:`GranuleLockProtocol.obs_sink`)
+or on parked processes via :meth:`Simulator.cancel`, so every injected
+failure unwinds through the same code paths a real abort would -- no
+thread is ever killed from the outside.  Everything is driven by a
+seeded RNG, so a given ``(StressConfig, FaultPlan)`` replays the exact
+same faults.
 
 Three fault families:
 
@@ -109,7 +110,7 @@ class FaultInjector:
     """The yield-point hook plus the per-run fault RNG and counters.
 
     One instance per stress run.  The hook is installed as
-    ``protocol.yield_hook``; calls from non-simulated threads (the preload
+    ``protocol.obs_sink``; calls from non-simulated threads (the preload
     transaction, the post-run vacuum) are ignored, so the hook can stay
     installed for the whole lifetime of the index.
     """
@@ -122,13 +123,12 @@ class FaultInjector:
         self.rng = random.Random((seed * 2_654_435_761 + 0xFA017) % 2**63)
         self.counters = FaultCounters()
 
-    def hook(self, tag: str, ctx, resource=None) -> None:
-        """The protocol yield point.  Called OUTSIDE the latch.
-
-        ``resource`` is the blocked resource on ``"restart"`` yields (and
-        ``None`` everywhere else); the injector ignores it but accepts it
-        so the hook matches the full yield-point signature.
-        """
+    def hook(self, event: str, tag: str = "", **_fields) -> None:
+        """The protocol's ``obs_sink``: acts on ``op.phase`` (the yield
+        points, named by ``tag``) and ignores every other event.  Called
+        OUTSIDE the latch, so it may context-switch or raise."""
+        if event != "op.phase":
+            return
         try:
             proc = self.sim.current()
         except RuntimeError:

@@ -4,10 +4,11 @@ One stress run = one seeded schedule: N worker processes replay generated
 transaction scripts against a :class:`PhantomProtectedRTree` under the
 cooperative simulator, with the protocol's yield points checkpointing the
 baton, fault daemons injecting aborts / cancellations / adversarial
-vacuum and split timing, and every operation's lock trace recorded.
-Afterwards the oracle (:mod:`repro.stress.oracle`) re-examines the run;
-any violation makes the run a failure, and the whole run replays exactly
-from its :class:`StressConfig` alone.
+vacuum and split timing, and the online protocol auditor checking every
+lock event against Table 3.  Afterwards the oracle
+(:mod:`repro.stress.oracle`) re-examines the run; any violation makes the
+run a failure, and the whole run replays exactly from its
+:class:`StressConfig` alone.
 
 Typical use::
 
@@ -30,9 +31,12 @@ from repro.concurrency.waits import SimulatedWait
 from repro.core import InsertionPolicy, PhantomProtectedRTree
 from repro.geometry import Rect
 from repro.lock.manager import LockManager
+from repro.obs.auditor import FlightRecorder, ProtocolAuditor
+from repro.obs.instrument import instrument_index
+from repro.obs.tracer import EventTracer
 from repro.rtree.tree import RTreeConfig
 from repro.stress.faults import FaultInjector, FaultPlan, InjectedAbort
-from repro.stress.oracle import OpRecord, Violation, check_run, check_wait_events
+from repro.stress.oracle import Violation, check_run, check_wait_events
 from repro.txn import TransactionAborted
 from repro.workloads.datasets import UNIT, Object, uniform_rects
 from repro.workloads.operations import MixSpec, OpCall, TxnScript, generate_scripts
@@ -118,9 +122,8 @@ class StressResult:
     schedule_len: int = 0
     #: the last dispatches before the run ended (artifact debugging aid)
     schedule_tail: List[tuple] = field(default_factory=list)
-    #: the online auditor's ``dgl-audit/1`` verdict when the run was
-    #: audited (``run_stress(..., audit=True)``); ``None`` otherwise
-    audit_verdict: Optional[Dict[str, object]] = None
+    #: the online auditor's ``dgl-audit/1`` verdict
+    audit_verdict: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -170,19 +173,10 @@ def _apply(index: PhantomProtectedRTree, txn, op: OpCall):
     raise ValueError(f"unknown op kind {op.kind!r}")
 
 
-def _found(op: OpCall, result) -> bool:
-    if op.kind in ("read_scan", "update_scan"):
-        return bool(result.matches)
-    if op.kind == "insert":
-        return True
-    return bool(getattr(result, "found", False))
-
-
 def run_stress(
     config: StressConfig,
     wait_strategy_factory: Optional[Callable[[Simulator], SimulatedWait]] = None,
     tracer=None,
-    audit: bool = False,
 ) -> StressResult:
     """Execute one seeded stress schedule and run the oracle over it.
 
@@ -193,15 +187,14 @@ def run_stress(
     ``tracer`` (an :class:`repro.obs.EventTracer`) records the run as a
     ``dgl-trace/1`` event stream; its clock is rebound to the simulator
     clock so replaying the same config yields a byte-identical trace.
-    ``None`` (the default) leaves every seam un-instrumented.
 
-    ``audit=True`` attaches the online protocol auditor
-    (:class:`repro.obs.auditor.ProtocolAuditor`) as a tracer sink for the
-    whole run -- flight-recorder style: when no ``tracer`` is supplied a
-    small bounded ring is created just to carry the sink, so auditing
-    costs a few dict operations per event and constant memory.  Audit
-    findings are appended to the result's violations and the full verdict
-    is kept in :attr:`StressResult.audit_verdict`.
+    Every run carries the online protocol auditor
+    (:class:`repro.obs.auditor.ProtocolAuditor`) as a tracer sink --
+    flight-recorder style: when no ``tracer`` is supplied a small bounded
+    ring is created just to carry the sink, so auditing costs a few dict
+    operations per event and constant memory.  Audit findings are
+    appended to the result's violations and the full verdict is kept in
+    :attr:`StressResult.audit_verdict`.
     """
     preload = make_preload(config)
     scripts = config.scripts if config.scripts is not None else make_scripts(config, preload)
@@ -230,34 +223,24 @@ def run_stress(
         clock=lambda: sim.clock,
     )
     injector = FaultInjector(sim, config.faults, config.seed)
-    index.protocol.yield_hook = injector.hook
-    auditor = None
-    if audit:
-        from repro.obs.auditor import FlightRecorder, ProtocolAuditor
-
-        auditor = ProtocolAuditor()
-        if tracer is None:
-            # flight-recorder mode: a small ring exists only to carry the
-            # sink; memory stays constant however long the run is
-            from repro.obs.tracer import EventTracer
-
-            tracer = EventTracer(
-                capacity=FlightRecorder.DEFAULT_CAPACITY,
-                meta={"source": "repro.stress", "seed": config.seed,
-                      "policy": config.policy, "audit": True},
-            )
-        tracer.add_sink(auditor.on_event)
-    if tracer is not None:
-        from repro.obs.instrument import instrument_index
-
-        tracer.clock = lambda: sim.clock
-        instrument_index(index, tracer)
+    index.protocol.obs_sink = injector.hook
+    if tracer is None:
+        # flight-recorder mode: a small ring exists only to carry the
+        # auditor; memory stays constant however long the run is
+        tracer = EventTracer(
+            capacity=FlightRecorder.DEFAULT_CAPACITY,
+            meta={"source": "repro.stress", "seed": config.seed,
+                  "policy": config.policy, "audit": True},
+        )
+    auditor = ProtocolAuditor()
+    tracer.add_sink(auditor.on_event)
+    tracer.clock = lambda: sim.clock
+    instrument_index(index, tracer)
 
     with index.transaction("preload") as txn:
         for oid, rect in preload:
             index.insert(txn, oid, rect)
 
-    records: List[OpRecord] = []
     result = StressResult(config=config, violations=[])
 
     def worker(worker_scripts: List[TxnScript]) -> Callable[[], None]:
@@ -268,15 +251,6 @@ def run_stress(
                     try:
                         for op in script.ops:
                             op_result = _apply(index, txn, op)
-                            records.append(
-                                OpRecord(
-                                    txn=txn.txn_id,
-                                    kind=op.kind,
-                                    oid=op.oid,
-                                    found=_found(op, op_result),
-                                    locks=tuple(op_result.locks_taken),
-                                )
-                            )
                             result.operations += 1
                             if op.kind == "insert":
                                 result.inserts += 1
@@ -339,24 +313,21 @@ def run_stress(
     result.sim_time = sim.clock
     result.steps = sim.steps
 
-    # drain every deferred delete on the driver thread (the yield hook
+    # drain every deferred delete on the driver thread (the fault injector
     # ignores non-simulated threads), then interrogate the oracle
     index.vacuum()
-    result.violations = check_run(history, records, index, strategy, universe=UNIT)
+    result.violations = check_run(history, index, strategy, universe=UNIT)
     result.violations.extend(check_wait_events(wait_events, lm.wait_count))
-    if auditor is not None:
-        result.audit_verdict = auditor.verdict()
-        result.violations.extend(
-            Violation("audit", str(v)) for v in auditor.violations
-        )
-        if auditor.suppressed:
-            result.violations.append(
-                Violation(
-                    "audit",
-                    f"{auditor.suppressed} further audit violation(s) beyond "
-                    f"the recording cap",
-                )
+    result.audit_verdict = auditor.verdict()
+    result.violations.extend(Violation("audit", str(v)) for v in auditor.violations)
+    if auditor.suppressed:
+        result.violations.append(
+            Violation(
+                "audit",
+                f"{auditor.suppressed} further audit violation(s) beyond "
+                f"the recording cap",
             )
+        )
 
     result.deadlocks = lm.deadlock_count
     result.lock_waits = lm.wait_count

@@ -1,9 +1,11 @@
 """The stress-run correctness oracle.
 
 After a run completes, the oracle re-examines everything the harness
-recorded -- the operation history, the per-operation lock traces, and the
-final index state -- and returns a list of :class:`Violation` items.  A
-clean run returns the empty list.
+recorded -- the operation history and the final index state -- and
+returns a list of :class:`Violation` items.  A clean run returns the
+empty list.  Table 3's lock patterns are not checked here: the online
+auditor (:mod:`repro.obs.auditor`) checks them on every stress run, as
+the locks are taken.
 
 Checks, in order:
 
@@ -16,10 +18,7 @@ Checks, in order:
    another committed transaction's write to the same object and that
    transaction's commit (strict 2PL makes this impossible; an occurrence
    means an X lock was lost).
-4. **Table 3 lock patterns** -- every operation's lock trace must stay
-   within the mode/duration/namespace set Table 3 prescribes for its row,
-   and first-touch operations must actually take their object lock.
-5. **Structural invariants** -- no leaked lock-table entries, no parked
+4. **Structural invariants** -- no leaked lock-table entries, no parked
    waiters left registered, balanced lock wait events (checked by the
    harness with :func:`check_wait_events`), the deferred-delete queue
    drained, granule coverage without gaps (globally, and node by node: no
@@ -32,7 +31,7 @@ Checks, in order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Set, Union
 
 from repro.concurrency.checker import (
     SerializabilityViolation,
@@ -41,35 +40,19 @@ from repro.concurrency.checker import (
 )
 from repro.concurrency.history import History, OpKind
 from repro.core.granules import GranuleRef, GranuleSet
-from repro.core.protocol import TABLE3_ALLOWED, TABLE3_REQUIRED_OBJ_MODE, Want
 from repro.geometry import Rect, Region
-from repro.lock.modes import LockDuration, LockMode, covers
 from repro.lock.resource import ResourceId
-
-S, X, IX, SIX = LockMode.S, LockMode.X, LockMode.IX, LockMode.SIX
-SHORT, COMMIT = LockDuration.SHORT, LockDuration.COMMIT
 
 
 @dataclass(frozen=True)
 class Violation:
     """One oracle finding."""
 
-    kind: str  # "phantom" | "serializability" | "lost-update" | "lock-pattern" | "invariant"
+    kind: str  # "phantom" | "serializability" | "lost-update" | "invariant" | "audit"
     detail: str
 
     def __str__(self) -> str:
         return f"[{self.kind}] {self.detail}"
-
-
-@dataclass(frozen=True)
-class OpRecord:
-    """One executed operation, as the harness recorded it."""
-
-    txn: Hashable
-    kind: str  # OpCall kind string
-    oid: Optional[Hashable]
-    found: bool
-    locks: Tuple[Want, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -119,70 +102,7 @@ def find_lost_updates(history: History) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# 4. Table 3 lock patterns
-# ---------------------------------------------------------------------------
-
-#: allowed (namespace, mode, duration) per operation and the required
-#: object-lock modes now live next to the protocol itself
-#: (:data:`repro.core.protocol.TABLE3_ALLOWED`), so the oracle and the
-#: online auditor check one shared source of truth.
-_ALLOWED: Dict[str, Set[Tuple[str, LockMode, LockDuration]]] = TABLE3_ALLOWED
-
-_REQUIRED_OBJ_MODE: Dict[str, LockMode] = TABLE3_REQUIRED_OBJ_MODE
-
-
-def check_lock_patterns(records: Sequence[OpRecord]) -> List[Violation]:
-    out: List[Violation] = []
-    # strongest object-lock mode each transaction has taken so far
-    held_obj: Dict[Hashable, Dict[Hashable, LockMode]] = {}
-    for rec in records:
-        allowed = _ALLOWED.get(rec.kind)
-        if allowed is None:
-            out.append(Violation("lock-pattern", f"unknown op kind {rec.kind!r}"))
-            continue
-        for resource, mode, duration in rec.locks:
-            ns = resource.namespace.value
-            if (ns, mode, duration) not in allowed:
-                out.append(
-                    Violation(
-                        "lock-pattern",
-                        f"{rec.txn!r} {rec.kind}: ({ns}, {mode.name}, {duration.name}) "
-                        f"on {resource!r} is outside the Table 3 row",
-                    )
-                )
-        # first-touch object lock requirement
-        needed = _REQUIRED_OBJ_MODE.get(rec.kind)
-        if needed is not None and rec.found and rec.oid is not None:
-            taken_modes = [
-                mode
-                for resource, mode, _d in rec.locks
-                if resource == ResourceId.obj(rec.oid)
-            ]
-            prior = held_obj.get(rec.txn, {}).get(rec.oid)
-            ok = any(covers(m, needed) for m in taken_modes) or (
-                prior is not None and covers(prior, needed)
-            )
-            if not ok:
-                out.append(
-                    Violation(
-                        "lock-pattern",
-                        f"{rec.txn!r} {rec.kind} of {rec.oid!r} proceeded without "
-                        f"a covering {needed.name} object lock",
-                    )
-                )
-        # update the per-txn object-lock map from this op's trace
-        txn_map = held_obj.setdefault(rec.txn, {})
-        for resource, mode, _d in rec.locks:
-            if resource.namespace.value == "obj":
-                oid = resource.key
-                prior = txn_map.get(oid)
-                if prior is None or covers(mode, prior):
-                    txn_map[oid] = mode
-    return out
-
-
-# ---------------------------------------------------------------------------
-# 5. structural invariants
+# 4. structural invariants
 # ---------------------------------------------------------------------------
 
 def check_structure(index, strategy) -> List[Violation]:
@@ -356,7 +276,6 @@ def check_final_state(history: History, index, universe: Rect) -> List[Violation
 
 def check_run(
     history: History,
-    records: Sequence[OpRecord],
     index,
     strategy,
     universe: Rect,
@@ -376,7 +295,6 @@ def check_run(
     except SerializabilityViolation as exc:
         out.append(Violation("serializability", str(exc)))
     out.extend(find_lost_updates(history))
-    out.extend(check_lock_patterns(records))
     out.extend(check_structure(index, strategy))
     out.extend(check_granule_walk(history, index, universe))
     out.extend(check_final_state(history, index, universe))

@@ -277,7 +277,7 @@ class TestTraceSeams:
             index.insert(txn, "a", rect(0, 0, 1, 1))
         assert len(tracer.events) == before
         assert index.tracer is None
-        assert index.protocol.tracer is None
+        assert index.protocol.obs_sink is None
         assert index.lock_manager.obs_sink is None
 
     def test_attach_chains_an_installed_obs_sink(self):
@@ -293,6 +293,30 @@ class TestTraceSeams:
         assert traced and seen == traced
         handle.detach()
         assert index.lock_manager.obs_sink is installed
+
+    def test_attach_chains_an_installed_protocol_sink(self):
+        index = PhantomProtectedRTree(RTreeConfig(universe=TEN, max_entries=4))
+        tracer = EventTracer(clock=lambda: 0.0)
+        recorded_first = []
+
+        def installed(event, **fields):
+            if event == "op.phase":
+                # the tracer's ring already holds this event
+                recorded_first.append(tracer.events[-1]["tag"] == fields["tag"])
+                if fields["tag"] == "insert.post":
+                    raise RuntimeError("injected")
+
+        index.protocol.obs_sink = installed
+        handle = instrument_index(index, tracer)
+        txn = index.begin()
+        with pytest.raises(RuntimeError):
+            index.insert(txn, "a", rect(0, 0, 1, 1))
+        index.abort(txn)
+        assert recorded_first and all(recorded_first)
+        tags = [e["tag"] for e in tracer.of_type("op.phase")]
+        assert tags[-1] == "insert.post"
+        handle.detach()
+        assert index.protocol.obs_sink is installed
 
     def test_buffer_miss_and_vacuum_enqueue_traced(self):
         index, tracer, _ = _traced_index(max_entries=4)

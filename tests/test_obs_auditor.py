@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.obs.auditor import AuditViolation, FlightRecorder, ProtocolAuditor
+from repro.obs.tracer import EventTracer
 from repro.stress.faults import FaultPlan
 from repro.stress.harness import StressConfig, run_stress
 
@@ -32,8 +33,12 @@ def _begin(txn, name=None):
     return ("txn.begin", {"txn": txn, "name": name or f"t{txn}"})
 
 
-def _op(txn, kind, op=100):
-    return ("op.begin", {"txn": txn, "op": op, "kind": kind})
+def _op(txn, kind, op=100, **fields):
+    return ("op.begin", {"txn": txn, "op": op, "kind": kind, **fields})
+
+
+def _end(txn, kind, op=100, ok=True, **fields):
+    return ("op.end", {"txn": txn, "op": op, "kind": kind, "ok": ok, **fields})
 
 
 def _acq(txn, resource, mode, duration, granted=True, waited=False):
@@ -189,6 +194,58 @@ class TestAuditRules:
         ))
         assert fenced.ok, fenced.violations
 
+    def test_found_read_single_without_s_flagged_first_touch(self):
+        a = ProtocolAuditor().replay(_events(
+            _begin(1),
+            _op(1, "read_single", oid="o1"),
+            _end(1, "read_single", found=True),
+        ))
+        assert _rules(a) == ["first-touch"]
+        assert "obj:o1" in a.violations[0].detail
+
+    def test_first_touch_satisfied_by_x_from_earlier_op(self):
+        read = [
+            _op(1, "read_single", op=101, oid="o1"),
+            _end(1, "read_single", op=101, found=True),
+        ]
+        earlier_update = [
+            _op(1, "update_single", oid="o1"),
+            _acq(1, "leaf:2", "IX", "commit"),
+            _acq(1, "obj:o1", "X", "commit"),
+            _end(1, "update_single", found=True),
+            ("lock.end_op", {"txn": 1, "resources": []}),
+        ]
+        covered = ProtocolAuditor().replay(_events(_begin(1), *earlier_update, *read))
+        assert covered.ok, covered.violations
+        bare = ProtocolAuditor().replay(_events(_begin(1), *read))
+        assert _rules(bare) == ["first-touch"]
+
+    def test_not_found_read_single_is_clean(self):
+        def stream(found):
+            return _events(
+                _begin(1),
+                _op(1, "read_single", oid="o1"),
+                _end(1, "read_single", found=found),
+            )
+
+        missed = ProtocolAuditor().replay(stream(found=False))
+        assert missed.ok, missed.violations
+        assert _rules(ProtocolAuditor().replay(stream(found=True))) == ["first-touch"]
+
+    def test_found_update_single_holding_only_s_flagged(self):
+        a = ProtocolAuditor().replay(_events(
+            _begin(1),
+            _op(1, "read_single", oid="o1"),
+            _acq(1, "obj:o1", "S", "commit"),
+            _end(1, "read_single", found=True),
+            ("lock.end_op", {"txn": 1, "resources": []}),
+            _op(1, "update_single", op=101, oid="o1"),
+            _acq(1, "leaf:2", "IX", "commit"),
+            _end(1, "update_single", op=101, found=True),
+        ))
+        assert _rules(a) == ["first-touch"]
+        assert "X" in a.violations[0].detail
+
     def test_violation_cap_counts_overflow(self):
         a = ProtocolAuditor(max_violations=2)
         a.replay(_events(
@@ -219,35 +276,36 @@ class TestAuditedRuns:
     """Whole harness runs streamed through the auditor."""
 
     def test_dgl_run_audits_clean(self):
-        result = run_stress(StressConfig(seed=3), audit=True)
+        result = run_stress(StressConfig(seed=3))
         assert result.ok, result.violations
-        assert result.audit_verdict is not None
         assert result.audit_verdict["clean"] is True
         assert result.audit_verdict["locks_checked"] > 0
 
     def test_dgl_run_without_faults_audits_clean(self):
-        result = run_stress(
-            StressConfig(seed=11, faults=FaultPlan.none()), audit=True
-        )
+        result = run_stress(StressConfig(seed=11, faults=FaultPlan.none()))
         assert result.ok, result.violations
         assert result.audit_verdict["clean"] is True
 
     def test_naive_policy_trips_the_growth_fence(self):
-        result = run_stress(StressConfig(seed=7, policy="naive"), audit=True)
+        result = run_stress(StressConfig(seed=7, policy="naive"))
         audit = [v for v in result.violations if v.kind == "audit"]
         assert audit, "the naive policy must not audit clean"
         assert any("fence" in str(v) for v in audit)
         assert result.audit_verdict["clean"] is False
 
-    def test_audit_default_off_keeps_result_shape(self):
-        result = run_stress(StressConfig(seed=3))
-        assert result.audit_verdict is None
+    def test_plain_run_audits_what_a_traced_run_audits(self):
+        # no tracer: the auditor rides its own small ring, same verdict
+        plain = run_stress(StressConfig(seed=3)).audit_verdict
+        traced = run_stress(StressConfig(seed=3), tracer=EventTracer()).audit_verdict
+        assert plain["clean"] is True
+        assert plain["locks_checked"] > 0
+        assert plain == traced
 
 
 class TestFlightRecorder:
     def test_ring_stays_bounded_while_auditor_sees_everything(self):
         recorder = FlightRecorder(capacity=64)
-        result = run_stress(StressConfig(seed=3), tracer=recorder.tracer, audit=False)
+        result = run_stress(StressConfig(seed=3), tracer=recorder.tracer)
         # attach the auditor manually? no: FlightRecorder wired its own sink
         assert result.ok, result.violations
         assert len(recorder.tracer.events) == 64  # ring wrapped

@@ -112,15 +112,15 @@ class TestDeadShortPruning:
         assert ctx.restarts == 1
         assert not ctx.holds_covering(*want)
 
-    def test_restart_fires_yield_hook(self):
+    def test_restart_fires_obs_sink(self):
         lm = LockManager()
         index = PhantomProtectedRTree(RTreeConfig(max_entries=4, universe=TEN))
         protocol = GranuleLockProtocol(index.tree, lm)
         seen = []
-        protocol.yield_hook = lambda tag, ctx, resource=None: seen.append(tag)
+        protocol.obs_sink = lambda event, **fields: seen.append((event, fields["tag"]))
         ctx = OpContext("t")
         protocol._restart(ctx)
-        assert seen == ["restart"]
+        assert seen == [("op.phase", "restart")]
 
 
 class TestWantOrdering:

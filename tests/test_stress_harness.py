@@ -127,6 +127,11 @@ class TestMinimizerAndArtifacts:
         # the shrunk schedule still fails when run standalone
         assert not run_stress(report.config).ok
 
+    def test_minimize_keeps_an_audit_only_failure(self):
+        # naive seed 0 fails the growth-fence audit, not the post-run oracle
+        report = minimize(StressConfig(seed=0, policy="naive"), max_runs=5)
+        assert any(v.kind == "audit" for v in report.result.violations)
+
     def test_minimize_refuses_passing_config(self):
         with pytest.raises(ValueError):
             minimize(StressConfig(seed=0))
