@@ -422,9 +422,10 @@ class PhantomProtectedRTree:
         transaction still holds IX on the granule and X on the object, so
         this is safe) and let the deferred pass remove it physically --
         granule boundaries never move during rollback."""
-        if self.tree.find_entry(oid, rect) is None:
+        located = self.tree.find_entry(oid, rect)
+        if located is None:
             return  # the insert never physically landed
-        self.tree.set_tombstone(oid, rect, True)
+        self.tree.set_tombstone(oid, rect, True, located)
         self.payloads.pop(oid, None)
         self.deferred.enqueue(oid, rect)
 

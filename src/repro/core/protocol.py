@@ -501,7 +501,7 @@ class GranuleLockProtocol:
                         # deleter would still hold its own X on the object.
                         if not entry.tombstone:
                             raise RTreeError(f"duplicate object id {oid!r}")
-                        self.tree.set_tombstone(oid, rect, False)
+                        self.tree.set_tombstone(oid, rect, False, located)
                         if on_applied is not None:
                             on_applied()
                         return None, SMOReport(target_leaf=leaf_id)
@@ -511,7 +511,9 @@ class GranuleLockProtocol:
                     blocked = self._acquire_conditional(ctx, wants)
                     if blocked is None:
                         inherit_from = self._highest_inherited_ext(ctx, plan)
-                        report = self.tree.insert(oid, rect)
+                        # FindLeaf above proved the object absent in this
+                        # latch hold: the tree inserts along the plan.
+                        report = self.tree.insert(oid, rect, plan)
                         if on_applied is not None:
                             on_applied()
                         post = self._post_insert_wants(ctx, plan, report, inherit_from)
@@ -693,7 +695,7 @@ class GranuleLockProtocol:
                             # object does not logically exist.
                             located = None
                         else:
-                            self.tree.set_tombstone(oid, rect, True)
+                            self.tree.set_tombstone(oid, rect, True, located)
                             return leaf_id
                 if located is None and scanned_absent:
                     # The S locks from the previous iteration are held and
@@ -721,12 +723,12 @@ class GranuleLockProtocol:
             with self.latch:
                 plan = self.tree.plan_delete(oid, rect)
                 if plan is None:
-                    return None
-                located = self.tree.find_entry(oid, rect)
-                if located is None or not located[1].tombstone:
-                    # Gone already, or *revived* by a re-insertion of the
-                    # same object after the deleter committed -- in either
-                    # case there is nothing to reclaim.
+                    return None  # gone already
+                entry = self.tree.node(plan.leaf_id, count_io=False).find_entry(oid)
+                assert entry is not None
+                if not entry.tombstone:
+                    # *Revived* by a re-insertion of the same object after
+                    # the deleter committed: nothing to reclaim.
                     return None
                 wants: List[Want] = []
                 leaf_res = ResourceId.leaf(plan.leaf_id)
@@ -748,7 +750,7 @@ class GranuleLockProtocol:
                         wants.append((ref.resource, IX, SHORT))
                 blocked = self._acquire_conditional(ctx, wants)
                 if blocked is None:
-                    report = self.tree.delete(oid, rect, collect_orphans=True)
+                    report = self.tree.delete(oid, rect, collect_orphans=True, plan=plan)
                     break
             self._restart(ctx, blocked)
             self._wait_for(ctx, blocked)
@@ -807,7 +809,7 @@ class GranuleLockProtocol:
                     wants.append((ResourceId.ext(page_id), SIX, SHORT))
                 blocked = self._acquire_conditional(ctx, wants)
                 if blocked is None:
-                    report = self.tree.reinsert_entry(entry, target_level)
+                    report = self.tree.reinsert_entry(entry, target_level, plan)
                     post = self._post_insert_wants(ctx, plan, report, None)
                     break
             self._restart(ctx, blocked)

@@ -13,8 +13,10 @@ event type             emitted by / meaning
 ``op.begin``           index: operation span opened (``op``, ``txn``,
                        ``kind``; ``oid`` for single-object kinds)
 ``op.end``             index: span closed (``ok``, ``waits``, ``restarts``,
-                       ``changed_boundaries`` for inserts, ``dt``;
-                       ``found`` for single-object kinds)
+                       ``changed_boundaries`` for inserts; ``found`` for
+                       single-object kinds).  No duration field: the
+                       span's time is the ``ts`` difference to its
+                       ``op.begin``
 ``op.phase``           protocol yield point (``tag``, ``txn``, ``resource``
                        when the phase is a restart caused by a blocked
                        lock want)

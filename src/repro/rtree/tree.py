@@ -13,7 +13,11 @@ shrink or split:
   node would underflow, and which ancestors' BRs would shrink.
 
 Plans carry page-version stamps; the protocol re-validates a plan after
-any blocking lock wait and re-plans if the tree moved underneath it.
+any blocking lock wait and re-plans if the tree moved underneath it.  A
+plan made in the current latch hold can also be handed back to
+:meth:`RTree.insert`, :meth:`RTree.reinsert_entry` and
+:meth:`RTree.delete`, which then apply it along the planned path instead
+of searching again; they refuse a plan whose pages moved since.
 """
 
 from __future__ import annotations
@@ -412,34 +416,62 @@ class RTree:
     def _stamp_versions(self, page_ids: Sequence[PageId]) -> Dict[PageId, int]:
         return {pid: self.pager.peek(pid).version for pid in page_ids}
 
+    def _planned_path(self, plan: InsertPlan | DeletePlan) -> List[Node]:
+        """The nodes on ``plan``'s path, root first.
+
+        The plan read these pages in the caller's current latch hold, so
+        they are re-touched without I/O.  A plan whose pages changed or
+        vanished since, or whose path no longer starts at the root, is
+        refused: a stale path must never be applied.
+        """
+        if not self.plan_is_current(plan.versions) or plan.path_ids[0] != self.root_id:
+            raise RTreeError("stale plan: the tree moved since it was made")
+        return [self.node(page_id, count_io=False) for page_id in plan.path_ids]
+
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
 
-    def insert(self, oid: ObjectId, rect: Rect) -> SMOReport:
-        """Insert a data object.  Duplicate oids are rejected."""
+    def insert(self, oid: ObjectId, rect: Rect, plan: Optional[InsertPlan] = None) -> SMOReport:
+        """Insert a data object.  Duplicate oids are rejected.
+
+        ``plan`` is a :meth:`plan_insert` result for ``rect`` from the
+        caller's current latch hold, made after the caller proved ``oid``
+        absent: the duplicate check is then skipped and the object goes
+        down the planned path.
+        """
         if rect.dim != self.config.dim:
             raise RTreeError(f"object dimension {rect.dim} != tree dimension {self.config.dim}")
-        if self.find_entry(oid, rect) is not None:
+        if plan is None and self.find_entry(oid, rect) is not None:
             raise RTreeError(f"duplicate object id {oid!r}")
-        report = self._insert_entry(LeafEntry(oid, rect), target_level=0)
+        report = self._insert_entry(LeafEntry(oid, rect), 0, plan)
         self._size += 1
         return report
 
-    def reinsert_entry(self, entry: Entry, target_level: int) -> SMOReport:
+    def reinsert_entry(
+        self, entry: Entry, target_level: int, plan: Optional[InsertPlan] = None
+    ) -> SMOReport:
         """Re-insert an orphan collected by ``delete(collect_orphans=True)``.
 
         A re-inserted data entry keeps its identity (including a tombstone
         flag); a re-inserted child entry re-attaches its whole subtree.
+        ``plan`` is as for :meth:`insert`.
         """
-        report = self._insert_entry(entry, target_level)
+        report = self._insert_entry(entry, target_level, plan)
         if isinstance(entry, LeafEntry) and report.target_leaf is not None:
             report.reinserted.append(ReinsertRecord(entry, report.target_leaf))
         return report
 
-    def _insert_entry(self, entry: Entry, target_level: int) -> SMOReport:
+    def _insert_entry(
+        self, entry: Entry, target_level: int, plan: Optional[InsertPlan] = None
+    ) -> SMOReport:
         report = SMOReport()
-        path = self._choose_path(entry.rect, target_level)
+        if plan is None:
+            path = self._choose_path(entry.rect, target_level)
+        else:
+            if plan.rect != entry.rect or plan.target_level != target_level:
+                raise RTreeError("plan was made for another rectangle or level")
+            path = self._planned_path(plan)
         old_mbrs = {n.page_id: n.mbr() for n in path}
         target = path[-1]
         report.target_leaf = target.page_id if target.is_leaf else None
@@ -582,16 +614,27 @@ class RTree:
     # deletion
     # ------------------------------------------------------------------
 
-    def set_tombstone(self, oid: ObjectId, rect: Rect, value: bool) -> PageId:
+    def set_tombstone(
+        self,
+        oid: ObjectId,
+        rect: Rect,
+        value: bool,
+        located: Optional[Tuple[PageId, LeafEntry]] = None,
+    ) -> PageId:
         """Mark (or unmark) an object logically deleted.
 
         Tombstoning never moves a granule boundary; the physical removal
-        happens later via :meth:`delete`.
+        happens later via :meth:`delete`.  ``located`` is a
+        :meth:`find_entry` result from the caller's current latch hold; the
+        object is then not searched for again.
         """
-        located = self.find_entry(oid, rect)
         if located is None:
-            raise RTreeError(f"object {oid!r} not found")
+            located = self.find_entry(oid, rect)
+            if located is None:
+                raise RTreeError(f"object {oid!r} not found")
         leaf_id, entry = located
+        if self.node(leaf_id, count_io=False).find_entry(oid) is not entry:
+            raise RTreeError(f"stale locate: object {oid!r} is not on page {leaf_id}")
         if entry.tombstone == value:
             raise RTreeError(f"object {oid!r} tombstone already {value}")
         entry.tombstone = value
@@ -599,7 +642,13 @@ class RTree:
         self._size += -1 if value else 1
         return leaf_id
 
-    def delete(self, oid: ObjectId, rect: Rect, collect_orphans: bool = False) -> SMOReport:
+    def delete(
+        self,
+        oid: ObjectId,
+        rect: Rect,
+        collect_orphans: bool = False,
+        plan: Optional[DeletePlan] = None,
+    ) -> SMOReport:
         """Physically remove an object (Guttman's Delete with CondenseTree).
 
         With ``collect_orphans=True`` the entries of eliminated nodes are
@@ -607,11 +656,20 @@ class RTree:
         ``(entry, target_level)`` pairs so the locking protocol can
         re-insert each one under its own locks (§3.7).  The caller must
         re-insert them all or the objects are lost.
+
+        ``plan`` is a :meth:`plan_delete` result for ``oid`` from the
+        caller's current latch hold: the object is then removed along the
+        planned path instead of being searched for again.
         """
         self.check_dim(rect)
-        path = self._find_path_to(oid, rect)
-        if path is None:
-            raise RTreeError(f"object {oid!r} not found")
+        if plan is None:
+            path = self._find_path_to(oid, rect)
+            if path is None:
+                raise RTreeError(f"object {oid!r} not found")
+        else:
+            if plan.oid != oid:
+                raise RTreeError(f"plan was made for object {plan.oid!r}, not {oid!r}")
+            path = self._planned_path(plan)
         leaf = path[-1]
         entry = leaf.find_entry(oid)
         assert entry is not None
