@@ -1,7 +1,8 @@
 """Shared machinery for the baseline indexes.
 
-:class:`BaselineIndex` owns the R-tree, transaction manager, history
-recording and payload store, and turns each operation into the template
+:class:`BaselineIndex` owns the R-tree (the transaction shell,
+:class:`~repro.core.index.TransactionalIndex`, owns the managers, history
+recording and payload store), and turns each operation into the template
 
     lock (subclass hook)  ->  apply under latch  ->  record
 
@@ -14,44 +15,26 @@ the deferred-delete machinery of §3.6 is unnecessary for them).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Optional
 
-from repro.concurrency.history import History, OpKind
-from repro.core.index import DeleteResult, InsertResult, OpResult, ScanResult, SingleResult
+from repro.concurrency.history import OpKind
+from repro.core.index import DeleteResult, InsertResult, ScanResult, SingleResult
+from repro.core.index import TransactionalIndex
 from repro.geometry import Rect
-from repro.lock.manager import DeadlockError, LockManager
 from repro.rtree.entry import ObjectId
 from repro.rtree.tree import RTree, RTreeConfig
-from repro.txn import Transaction, TransactionAborted, TransactionManager
+from repro.txn import Transaction
 
 
-class BaselineIndex:
+class BaselineIndex(TransactionalIndex):
     """Template base class; see module docstring."""
 
     name = "baseline"
 
-    def __init__(
-        self,
-        config: Optional[RTreeConfig] = None,
-        lock_manager: Optional[LockManager] = None,
-        txn_manager: Optional[TransactionManager] = None,
-        history: Optional[History] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[RTreeConfig] = None, **shell: Any) -> None:
+        super().__init__(**shell)
         self.tree = RTree(config)
-        self.lock_manager = lock_manager if lock_manager is not None else LockManager()
-        self.txn_manager = (
-            txn_manager if txn_manager is not None else TransactionManager(self.lock_manager)
-        )
-        self.history = history
-        self._clock = clock if clock is not None else (lambda: 0.0)
-        self.payloads: Dict[ObjectId, Any] = {}
         self.latch = threading.RLock()
-
-    @property
-    def stats(self):
-        return self.tree.pager.stats
 
     # -- subclass hooks (each may wait; called without the latch) ---------
 
@@ -66,65 +49,6 @@ class BaselineIndex:
 
     def _lock_update_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
         raise NotImplementedError
-
-    def _on_finish(self, txn: Transaction) -> None:
-        """Extra cleanup at commit/abort (predicate tables override)."""
-
-    def _acquisition_count(self) -> int:
-        """Total lock/predicate acquisitions so far (for per-op deltas)."""
-        return self.lock_manager.total_acquisitions()
-
-    # -- transactions --------------------------------------------------------
-
-    def begin(self, name: Optional[str] = None) -> Transaction:
-        txn = self.txn_manager.begin(name)
-        self._record(txn, OpKind.BEGIN)
-        return txn
-
-    def commit(self, txn: Transaction) -> None:
-        self.txn_manager.commit(txn)
-        self._on_finish(txn)
-        self._record(txn, OpKind.COMMIT)
-
-    def abort(self, txn: Transaction, reason: str = "explicit abort") -> None:
-        self.txn_manager.abort(txn, reason)
-        self._on_finish(txn)
-        self._record(txn, OpKind.ABORT)
-
-    @contextmanager
-    def transaction(self, name: Optional[str] = None) -> Iterator[Transaction]:
-        txn = self.begin(name)
-        try:
-            yield txn
-        except BaseException:
-            if txn.is_active:
-                self.abort(txn, reason="exception in transaction body")
-            raise
-        else:
-            if txn.is_active:
-                self.commit(txn)
-
-    @contextmanager
-    def _operation(self, txn: Transaction, result: OpResult) -> Iterator[None]:
-        if not txn.is_active:
-            raise TransactionAborted(txn.txn_id, txn.abort_reason or "not active")
-        before_locks = self._acquisition_count()
-        before_waits = self.lock_manager.wait_count
-        before_reads = self.stats.physical_reads
-        try:
-            yield None
-        except DeadlockError as exc:
-            self.txn_manager.abort(txn, f"deadlock victim: {exc}")
-            self._on_finish(txn)
-            self._record(txn, OpKind.ABORT)
-            raise TransactionAborted(txn.txn_id, f"deadlock victim: {exc}")
-        finally:
-            result.lock_waits = self.lock_manager.wait_count - before_waits
-            result.physical_reads = self.stats.physical_reads - before_reads
-            # Approximate per-op lock count from the manager's counter
-            # delta (baselines do not thread an OpContext through).
-            count = self._acquisition_count() - before_locks
-            result.locks_taken = [None] * max(0, count)  # type: ignore[list-item]
 
     # -- operations ------------------------------------------------------------
 
@@ -247,10 +171,6 @@ class BaselineIndex:
         with self.latch:
             self.tree.insert(oid, rect)
         self.payloads[oid] = payload
-
-    def _record(self, txn: Transaction, kind: OpKind, **kw: Any) -> None:
-        if self.history is not None:
-            self.history.record(txn.txn_id, kind, sim_time=self._clock(), **kw)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={self.tree.size}, height={self.tree.height})"

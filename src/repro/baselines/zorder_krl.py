@@ -23,19 +23,18 @@ one-dimensional index); results are post-filtered by true intersection.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from repro.btree.btree import BPlusTree, BTreeConfig, BTreeError
 from repro.btree.krl import KeyRangeLockManager
 from repro.btree.zorder import DEFAULT_BITS, z_encode_rect, z_range_for_rect
-from repro.concurrency.history import History, OpKind
+from repro.concurrency.history import OpKind
 from repro.core.index import DeleteResult, InsertResult, OpResult, ScanResult, SingleResult
+from repro.core.index import TransactionalIndex
 from repro.geometry import Rect
-from repro.lock.manager import DeadlockError, LockManager
 from repro.lock.modes import LockDuration, LockMode
 from repro.rtree.entry import ObjectId
-from repro.txn import Transaction, TransactionAborted, TransactionManager
+from repro.txn import Transaction
 from repro.workloads.datasets import UNIT
 
 
@@ -50,7 +49,7 @@ class ZOrderScanResult(ScanResult):
         self.interval_entries = 0
 
 
-class ZOrderKRLIndex:
+class ZOrderKRLIndex(TransactionalIndex):
     """Transactional spatial index over a Z-ordered B+-tree with KRL."""
 
     name = "zorder-krl"
@@ -61,78 +60,21 @@ class ZOrderKRLIndex:
         btree_config: Optional[BTreeConfig] = None,
         bits: int = DEFAULT_BITS,
         max_object_extent: float = 0.05,
-        lock_manager: Optional[LockManager] = None,
-        txn_manager: Optional[TransactionManager] = None,
-        history: Optional[History] = None,
-        clock: Optional[Callable[[], float]] = None,
+        **shell: Any,
     ) -> None:
+        super().__init__(**shell)
         self.universe = universe
         self.bits = bits
         self.max_object_extent = max_object_extent
         self.tree = BPlusTree(btree_config)
-        self.lock_manager = lock_manager if lock_manager is not None else LockManager()
-        self.txn_manager = (
-            txn_manager if txn_manager is not None else TransactionManager(self.lock_manager)
-        )
         self.krl = KeyRangeLockManager(self.lock_manager, self.tree)
-        self.history = history
-        self._clock = clock if clock is not None else (lambda: 0.0)
-        self.payloads: Dict[ObjectId, Any] = {}
         #: oid -> (z key, rect); rect kept for post-filtering and undo
         self._directory: Dict[ObjectId, tuple] = {}
         self.latch = threading.RLock()
 
-    @property
-    def stats(self):
-        return self.tree.pager.stats
-
-    # -- transactions -------------------------------------------------------
-
-    def begin(self, name: Optional[str] = None) -> Transaction:
-        txn = self.txn_manager.begin(name)
-        self._record(txn, OpKind.BEGIN)
-        return txn
-
-    def commit(self, txn: Transaction) -> None:
-        self.txn_manager.commit(txn)
-        self._record(txn, OpKind.COMMIT)
-
-    def abort(self, txn: Transaction, reason: str = "explicit abort") -> None:
-        self.txn_manager.abort(txn, reason)
-        self._record(txn, OpKind.ABORT)
-
-    @contextmanager
-    def transaction(self, name: Optional[str] = None) -> Iterator[Transaction]:
-        txn = self.begin(name)
-        try:
-            yield txn
-        except BaseException:
-            if txn.is_active:
-                self.abort(txn, "exception in transaction body")
-            raise
-        else:
-            if txn.is_active:
-                self.commit(txn)
-
-    @contextmanager
-    def _operation(self, txn: Transaction, result: OpResult) -> Iterator[None]:
-        if not txn.is_active:
-            raise TransactionAborted(txn.txn_id, txn.abort_reason or "not active")
-        before_locks = self.krl.range_locks
-        before_waits = self.lock_manager.wait_count
-        before_reads = self.stats.physical_reads
-        try:
-            yield None
-        except DeadlockError as exc:
-            self.txn_manager.abort(txn, f"deadlock victim: {exc}")
-            self._record(txn, OpKind.ABORT)
-            raise TransactionAborted(txn.txn_id, f"deadlock victim: {exc}")
-        finally:
-            result.lock_waits = self.lock_manager.wait_count - before_waits
-            result.physical_reads = self.stats.physical_reads - before_reads
-            result.locks_taken = [None] * (self.krl.range_locks - before_locks)  # type: ignore[list-item]
-            if txn.is_active:
-                self.lock_manager.end_operation(txn.txn_id)
+    def _acquisition_count(self) -> int:
+        """Key-range locks taken so far (the §2 overhead metric)."""
+        return self.krl.range_locks
 
     # -- lock choreography (conditional under the latch, wait outside,
     #    recompute: the key set may move while a transaction sleeps) ------
@@ -322,10 +264,6 @@ class ZOrderKRLIndex:
             self.tree.insert(key, oid, rect)
         self._directory[oid] = (key, rect)
         self.payloads[oid] = payload
-
-    def _record(self, txn: Transaction, kind: OpKind, **kw: Any) -> None:
-        if self.history is not None:
-            self.history.record(txn.txn_id, kind, sim_time=self._clock(), **kw)
 
     def __repr__(self) -> str:
         return f"ZOrderKRLIndex(size={len(self.tree)}, bits={self.bits})"

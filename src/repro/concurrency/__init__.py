@@ -25,6 +25,7 @@ from repro.concurrency.simulator import (
     SimProcess,
     SimDeadlock,
     CostModel,
+    InjectedAbort,
     ProcessCancelled,
 )
 from repro.concurrency.waits import SimulatedWait, SpuriousWakeup
@@ -41,6 +42,7 @@ __all__ = [
     "SimProcess",
     "SimDeadlock",
     "CostModel",
+    "InjectedAbort",
     "ProcessCancelled",
     "SimulatedWait",
     "SpuriousWakeup",

@@ -50,6 +50,16 @@ class ProcessCancelled(Exception):
     """
 
 
+class InjectedAbort(Exception):
+    """A forced abort raised at a protocol yield point (fault injection).
+
+    Deliberately *not* a :class:`~repro.lock.manager.DeadlockError`
+    subclass: the index layer must not mistake it for a deadlock victim;
+    the client driver (:mod:`repro.workloads.clients`) catches it, aborts
+    the transaction and retries.
+    """
+
+
 @dataclass
 class CostModel:
     """Simulated durations, in abstract time units.

@@ -77,56 +77,38 @@ class SingleResult(OpResult):
     payload: Any = None
 
 
-class PhantomProtectedRTree:
-    """Transactional R-tree with dynamic granular locking."""
+class TransactionalIndex:
+    """The transaction shell of every transactional index: managers,
+    history, payloads, transactions and the deadlock-victim path.
+    Subclasses build ``self.tree`` (its pager supplies :attr:`stats`) and
+    the operations; the non-DGL ones wrap each in :meth:`_operation`."""
+
+    #: observability tracer (:mod:`repro.obs`), installed by
+    #: :func:`repro.obs.instrument.instrument_index`; ``None`` costs one
+    #: attribute test per seam
+    tracer = None
 
     def __init__(
         self,
-        config: Optional[RTreeConfig] = None,
         lock_manager: Optional[LockManager] = None,
         txn_manager: Optional[TransactionManager] = None,
-        policy: InsertionPolicy = InsertionPolicy.ON_GROWTH,
         history: Optional[History] = None,
         clock: Optional[Callable[[], float]] = None,
-        pager: Optional[PageManager] = None,
     ) -> None:
-        self.tree = RTree(config, pager)
         self.lock_manager = lock_manager if lock_manager is not None else LockManager()
         self.txn_manager = (
             txn_manager if txn_manager is not None else TransactionManager(self.lock_manager)
         )
         if self.txn_manager.lock_manager is not self.lock_manager:
             raise ValueError("txn_manager must share the index's lock manager")
-        self.protocol = GranuleLockProtocol(self.tree, self.lock_manager, policy)
-        self.deferred = DeferredDeleteQueue()
         self.history = history
-        #: observability tracer (see :mod:`repro.obs`): transaction and
-        #: operation span events.  Installed by
-        #: :func:`repro.obs.instrument.instrument_index`; ``None``
-        #: (default) costs one attribute test per seam.
-        self.tracer = None
         self._clock = clock if clock is not None else (lambda: 0.0)
         #: non-indexed attributes per object (updates touch only these)
-        self.payloads: Dict[ObjectId, Any] = {}
-        #: per-transaction write journal, for savepoint compensation
-        #: records: (kind, oid, rect, old_payload-for-updates)
-        self._journal: Dict[Any, List[Tuple[OpKind, ObjectId, Rect, Any]]] = {}
-
-    @property
-    def granules(self):
-        return self.protocol.granules
-
-    @property
-    def policy(self) -> InsertionPolicy:
-        return self.protocol.policy
+        self.payloads: Dict[Any, Any] = {}
 
     @property
     def stats(self):
         return self.tree.pager.stats
-
-    # ------------------------------------------------------------------
-    # transactions
-    # ------------------------------------------------------------------
 
     def begin(self, name: Optional[str] = None) -> Transaction:
         txn = self.txn_manager.begin(name)
@@ -137,14 +119,14 @@ class PhantomProtectedRTree:
 
     def commit(self, txn: Transaction) -> None:
         self.txn_manager.commit(txn)
-        self._journal.pop(txn.txn_id, None)
+        self._on_finish(txn)
         self._record(txn, OpKind.COMMIT)
         if self.tracer is not None:
             self.tracer.emit("txn.commit", txn=txn.txn_id)
 
     def abort(self, txn: Transaction, reason: str = "explicit abort") -> None:
         self.txn_manager.abort(txn, reason)
-        self._journal.pop(txn.txn_id, None)
+        self._on_finish(txn)
         self._record(txn, OpKind.ABORT)
         if self.tracer is not None:
             self.tracer.emit("txn.abort", txn=txn.txn_id, reason=reason)
@@ -161,6 +143,86 @@ class PhantomProtectedRTree:
         else:
             if txn.is_active:
                 self.commit(txn)
+
+    def _on_finish(self, txn: Transaction) -> None:
+        """Extra cleanup once a transaction committed or aborted."""
+
+    def _abort_deadlock_victim(self, txn: Transaction, exc: DeadlockError) -> TransactionAborted:
+        """Roll back a transaction whose operation lost a deadlock; returns
+        the exception the operation raises."""
+        reason = f"deadlock victim: {exc}"
+        self.lock_manager.end_operation(txn.txn_id)
+        self._record(txn, OpKind.ABORT)
+        self.txn_manager.abort(txn, reason)
+        self._on_finish(txn)
+        return TransactionAborted(txn.txn_id, reason)
+
+    def _acquisition_count(self) -> int:
+        """Lock acquisitions so far, by every transaction; an operation's
+        ``locks_taken`` is the delta across it."""
+        return self.lock_manager.total_acquisitions()
+
+    @contextmanager
+    def _operation(self, txn: Transaction, result: OpResult) -> Iterator[None]:
+        if not txn.is_active:
+            raise TransactionAborted(txn.txn_id, txn.abort_reason or "not active")
+        before_locks = self._acquisition_count()
+        before_waits = self.lock_manager.wait_count
+        before_reads = self.stats.physical_reads
+        try:
+            yield None
+        except DeadlockError as exc:
+            raise self._abort_deadlock_victim(txn, exc)
+        finally:
+            result.lock_waits = self.lock_manager.wait_count - before_waits
+            result.physical_reads = self.stats.physical_reads - before_reads
+            count = self._acquisition_count() - before_locks
+            result.locks_taken = [None] * max(0, count)  # type: ignore[list-item]
+            if txn.is_active:
+                self.lock_manager.end_operation(txn.txn_id)
+
+    def _record(self, txn: Transaction, kind: OpKind, **kw: Any) -> None:
+        if self.history is not None:
+            self.history.record(txn.txn_id, kind, sim_time=self._clock(), **kw)
+
+
+class PhantomProtectedRTree(TransactionalIndex):
+    """Transactional R-tree with dynamic granular locking."""
+
+    def __init__(
+        self,
+        config: Optional[RTreeConfig] = None,
+        lock_manager: Optional[LockManager] = None,
+        txn_manager: Optional[TransactionManager] = None,
+        policy: InsertionPolicy = InsertionPolicy.ON_GROWTH,
+        history: Optional[History] = None,
+        clock: Optional[Callable[[], float]] = None,
+        pager: Optional[PageManager] = None,
+    ) -> None:
+        super().__init__(lock_manager, txn_manager, history, clock)
+        self.tree = RTree(config, pager)
+        self.protocol = GranuleLockProtocol(self.tree, self.lock_manager, policy)
+        self.deferred = DeferredDeleteQueue()
+        #: per-transaction write journal, for savepoint compensation
+        #: records: (kind, oid, rect, old_payload-for-updates)
+        self._journal: Dict[Any, List[Tuple[OpKind, ObjectId, Rect, Any]]] = {}
+
+    # The shell's transaction methods, bound in this class's own namespace:
+    # perfbench's layer profiler wraps the methods it finds there.
+    begin = TransactionalIndex.begin
+    commit = TransactionalIndex.commit
+    abort = TransactionalIndex.abort
+
+    @property
+    def granules(self):
+        return self.protocol.granules
+
+    @property
+    def policy(self) -> InsertionPolicy:
+        return self.protocol.policy
+
+    def _on_finish(self, txn: Transaction) -> None:
+        self._journal.pop(txn.txn_id, None)
 
     # ------------------------------------------------------------------
     # savepoints (partial rollback)
@@ -386,9 +448,7 @@ class PhantomProtectedRTree:
             yield ctx
             ok = True
         except DeadlockError as exc:
-            self.lock_manager.end_operation(txn.txn_id)
-            self._record(txn, OpKind.ABORT)
-            raise self.txn_manager.abort_and_raise(txn, f"deadlock victim: {exc}")
+            raise self._abort_deadlock_victim(txn, exc)
         finally:
             result.locks_taken = list(ctx.taken)
             result.lock_waits = ctx.waits
@@ -428,10 +488,6 @@ class PhantomProtectedRTree:
         self.tree.set_tombstone(oid, rect, True, located)
         self.payloads.pop(oid, None)
         self.deferred.enqueue(oid, rect)
-
-    def _record(self, txn: Transaction, kind: OpKind, **kw: Any) -> None:
-        if self.history is not None:
-            self.history.record(txn.txn_id, kind, sim_time=self._clock(), **kw)
 
     def __repr__(self) -> str:
         return (

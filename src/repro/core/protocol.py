@@ -332,6 +332,7 @@ class GranuleLockProtocol:
                 grew=g.grew,
                 old_mbr=_bounds(g.old_mbr),
                 new_mbr=_bounds(g.new_mbr),
+                parent=g.parent,
             )
         for split in report.splits:
             sink(

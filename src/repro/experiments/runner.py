@@ -12,9 +12,8 @@ run it) and the phantom-demonstration benchmark.
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import ObjectLockIndex, PredicateLockIndex, PredicateLockTable, TreeLockIndex
 from repro.concurrency.checker import (
@@ -29,7 +28,7 @@ from repro.core import InsertionPolicy, PhantomProtectedRTree
 from repro.geometry import Rect
 from repro.lock.manager import LockManager
 from repro.rtree.tree import RTreeConfig
-from repro.txn import TransactionAborted
+from repro.workloads.clients import spawn_clients
 from repro.workloads.datasets import UNIT, Object, uniform_rects
 from repro.workloads.operations import MixSpec, OpCall, TxnScript, generate_scripts
 
@@ -144,33 +143,12 @@ def build_index(kind: str, config: RunConfig, sim: Simulator, history: History):
     raise ValueError(kind)
 
 
-def _apply(index, txn, op: OpCall):
-    if op.kind == "read_scan":
-        return index.read_scan(txn, op.rect)
-    if op.kind == "insert":
-        return index.insert(txn, op.oid, op.rect)
-    if op.kind == "delete":
-        return index.delete(txn, op.oid, op.rect)
-    if op.kind == "read_single":
-        return index.read_single(txn, op.oid, op.rect)
-    if op.kind == "update_single":
-        return index.update_single(txn, op.oid, op.rect, payload="updated")
-    if op.kind == "update_scan":
-        return index.update_scan(txn, op.rect, lambda oid, rect, old: "bulk-updated")
-    raise ValueError(f"unknown op kind {op.kind!r}")
-
-
-def run_workload(
+def _workload(
     config: RunConfig,
-    preload: Optional[List[Object]] = None,
-    scripts: Optional[List[List[TxnScript]]] = None,
-    check: bool = True,
-) -> RunMetrics:
-    """Run one workload to completion and collect metrics.
-
-    Pass the same ``preload`` and ``scripts`` to successive calls with
-    different ``index_kind`` to compare schemes on identical work.
-    """
+    preload: Optional[List[Object]],
+    scripts: Optional[List[List[TxnScript]]],
+) -> Tuple[List[Object], List[List[TxnScript]]]:
+    """The given preload and scripts, or the config's seeded defaults."""
     if preload is None:
         preload = uniform_rects(
             config.n_preload, seed=config.seed, extent_fraction=0.02, universe=config.universe
@@ -185,6 +163,21 @@ def run_workload(
             seed=config.seed,
             universe=config.universe,
         )
+    return preload, scripts
+
+
+def run_workload(
+    config: RunConfig,
+    preload: Optional[List[Object]] = None,
+    scripts: Optional[List[List[TxnScript]]] = None,
+    check: bool = True,
+) -> RunMetrics:
+    """Run one workload to completion and collect metrics.
+
+    Pass the same ``preload`` and ``scripts`` to successive calls with
+    different ``index_kind`` to compare schemes on identical work.
+    """
+    preload, scripts = _workload(config, preload, scripts)
 
     sim = Simulator(seed=config.seed)
     history = History()
@@ -196,48 +189,10 @@ def run_workload(
 
     metrics = RunMetrics(index_kind=config.index_kind)
 
-    def traffic() -> tuple:
-        locks = index.lock_manager.total_acquisitions()
-        comparisons = 0
-        if isinstance(index, PredicateLockIndex):
-            locks += index.predicates.acquisitions
-            comparisons = index.predicates.comparisons
-        return locks, comparisons
+    def count_op(_op: OpCall, _result) -> None:
+        metrics.operations += 1
 
-    def worker(worker_scripts: List[TxnScript]) -> Callable[[], None]:
-        def body() -> None:
-            for script in worker_scripts:
-                for attempt in range(config.max_retries + 1):
-                    txn = index.begin(f"{script.name}~{attempt}" if attempt else script.name)
-                    try:
-                        for op in script.ops:
-                            locks_before, cmps_before = traffic()
-                            result = _apply(index, txn, op)
-                            locks_after, cmps_after = traffic()
-                            cost = (
-                                result.physical_reads * config.costs.io
-                                + config.costs.cpu
-                                + (locks_after - locks_before) * config.costs.lock_op
-                                + (cmps_after - cmps_before) * config.costs.predicate_check
-                                + op.think
-                            )
-                            metrics.operations += 1
-                            sim.checkpoint(cost)
-                        index.commit(txn)
-                        break
-                    except TransactionAborted:
-                        # deadlock victim: already rolled back; back off
-                        # before retrying, staggered per script so two
-                        # victims do not re-collide in lock step.  (zlib
-                        # CRC, not hash(): string hashing is randomised per
-                        # process and would break run determinism.)
-                        stagger = (zlib.crc32(script.name.encode()) % 7) + 1
-                        sim.checkpoint(5.0 * (attempt + 1) * stagger)
-
-        return body
-
-    for w, worker_scripts in enumerate(scripts):
-        sim.spawn(f"worker-{w}", worker(worker_scripts), delay=w * 0.01)
+    spawn_clients(sim, index, scripts, config.costs, config.max_retries, on_op=count_op)
     sim.run()
     sim.raise_process_errors()
     # Snapshot the workload's own transaction counts before vacuum, which
@@ -272,22 +227,7 @@ def compare_kinds(
     scripts: Optional[List[List[TxnScript]]] = None,
 ) -> Dict[str, RunMetrics]:
     """Run the identical workload against several index kinds."""
-    from dataclasses import replace
-
-    if preload is None:
-        preload = uniform_rects(
-            config.n_preload, seed=config.seed, extent_fraction=0.02, universe=config.universe
-        )
-    if scripts is None:
-        scripts = generate_scripts(
-            preload,
-            config.n_workers,
-            config.txns_per_worker,
-            config.ops_per_txn,
-            config.mix,
-            seed=config.seed,
-            universe=config.universe,
-        )
+    preload, scripts = _workload(config, preload, scripts)
     return {
         kind: run_workload(replace(config, index_kind=kind), preload=preload, scripts=scripts)
         for kind in kinds

@@ -19,18 +19,18 @@ only node splits carve them), the granular protocol collapses to:
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.concurrency.history import History, OpKind
-from repro.core.index import DeleteResult, InsertResult, OpResult, ScanResult, SingleResult
+from repro.concurrency.history import OpKind
+from repro.core.index import DeleteResult, InsertResult, ScanResult, SingleResult
+from repro.core.index import TransactionalIndex
 from repro.core.maintenance import DeferredDeleteQueue
 from repro.geometry import Rect
 from repro.kdbtree.tree import KDBConfig, KDBError, KDBTree
-from repro.lock.manager import DeadlockError, LockManager
+from repro.lock.manager import DeadlockError
 from repro.lock.modes import LockDuration, LockMode
 from repro.lock.resource import ResourceId
-from repro.txn import Transaction, TransactionAborted, TransactionManager
+from repro.txn import Transaction
 
 S, X, IX, SIX = LockMode.S, LockMode.X, LockMode.IX, LockMode.SIX
 SHORT, COMMIT = LockDuration.SHORT, LockDuration.COMMIT
@@ -38,80 +38,14 @@ SHORT, COMMIT = LockDuration.SHORT, LockDuration.COMMIT
 Point = Sequence[float]
 
 
-class KDBPhantomIndex:
+class KDBPhantomIndex(TransactionalIndex):
     """Transactional K-D-B-tree with the simplified granular protocol."""
 
-    def __init__(
-        self,
-        config: Optional[KDBConfig] = None,
-        lock_manager: Optional[LockManager] = None,
-        txn_manager: Optional[TransactionManager] = None,
-        history: Optional[History] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[KDBConfig] = None, **shell: Any) -> None:
+        super().__init__(**shell)
         self.tree = KDBTree(config)
-        self.lock_manager = lock_manager if lock_manager is not None else LockManager()
-        self.txn_manager = (
-            txn_manager if txn_manager is not None else TransactionManager(self.lock_manager)
-        )
         self.deferred = DeferredDeleteQueue()
-        self.history = history
-        self._clock = clock if clock is not None else (lambda: 0.0)
-        self.payloads: Dict[Any, Any] = {}
         self.latch = threading.RLock()
-
-    @property
-    def stats(self):
-        return self.tree.pager.stats
-
-    # -- transactions -------------------------------------------------------
-
-    def begin(self, name: Optional[str] = None) -> Transaction:
-        txn = self.txn_manager.begin(name)
-        self._record(txn, OpKind.BEGIN)
-        return txn
-
-    def commit(self, txn: Transaction) -> None:
-        self.txn_manager.commit(txn)
-        self._record(txn, OpKind.COMMIT)
-
-    def abort(self, txn: Transaction, reason: str = "explicit abort") -> None:
-        self.txn_manager.abort(txn, reason)
-        self._record(txn, OpKind.ABORT)
-
-    @contextmanager
-    def transaction(self, name: Optional[str] = None) -> Iterator[Transaction]:
-        txn = self.begin(name)
-        try:
-            yield txn
-        except BaseException:
-            if txn.is_active:
-                self.abort(txn, "exception in transaction body")
-            raise
-        else:
-            if txn.is_active:
-                self.commit(txn)
-
-    @contextmanager
-    def _operation(self, txn: Transaction, result: OpResult) -> Iterator[None]:
-        if not txn.is_active:
-            raise TransactionAborted(txn.txn_id, txn.abort_reason or "not active")
-        before_locks = self.lock_manager.total_acquisitions()
-        before_waits = self.lock_manager.wait_count
-        before_reads = self.stats.physical_reads
-        try:
-            yield None
-        except DeadlockError as exc:
-            self.lock_manager.end_operation(txn.txn_id)
-            self._record(txn, OpKind.ABORT)
-            raise self.txn_manager.abort_and_raise(txn, f"deadlock victim: {exc}")
-        finally:
-            result.lock_waits = self.lock_manager.wait_count - before_waits
-            result.physical_reads = self.stats.physical_reads - before_reads
-            count = self.lock_manager.total_acquisitions() - before_locks
-            result.locks_taken = [None] * max(0, count)  # type: ignore[list-item]
-            if txn.is_active:
-                self.lock_manager.end_operation(txn.txn_id)
 
     # -- lock plumbing --------------------------------------------------------
 
@@ -332,10 +266,6 @@ class KDBPhantomIndex:
         self.tree.set_tombstone(oid, point, True)
         self.payloads.pop(oid, None)
         self.deferred.enqueue(oid, tuple(point))
-
-    def _record(self, txn: Transaction, kind: OpKind, **kw: Any) -> None:
-        if self.history is not None:
-            self.history.record(txn.txn_id, kind, sim_time=self._clock(), **kw)
 
     def __repr__(self) -> str:
         return f"KDBPhantomIndex(size={self.tree.size}, height={self.tree.height})"

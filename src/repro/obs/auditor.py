@@ -46,7 +46,10 @@ the order a failing event trips them:
     The §3.3/§3.4 growth fences: when a granule's boundary grows, the
     growing transaction must at that moment hold a short SIX on the
     deformed external granule (level > 0) or a write-intent lock on the
-    grown leaf (level 0); a leaf split requires the §3.5 SIX on the
+    grown leaf (level 0), and -- for every grown node below the root --
+    SIX on its parent's external granule, which the growth shrinks (the
+    parent is the one on the operation's planned path, the event's
+    ``parent`` field); a leaf split requires the §3.5 SIX on the
     pre-split granule.  This is the rule the paper's naive policy (§3.2)
     breaks -- a NAIVE-policy insert that moves boundaries trips it on the
     first ``granule.grow``.
@@ -408,6 +411,17 @@ class ProtocolAuditor:
             if event.get("grew"):
                 level = int(event.get("level") or 0)
                 page = event.get("page")
+                parent = event.get("parent")
+                if parent is not None and not locks.holds(
+                    txn, f"ext:{parent}", _SIX_OR_STRONGER
+                ):
+                    self._flag(
+                        "fence",
+                        event,
+                        f"{'leaf' if level == 0 else 'node'} {page} grew inside "
+                        f"ext:{parent} without the grower holding SIX on it "
+                        f"(§3.3 fence)",
+                    )
                 if level > 0:
                     if not locks.holds(txn, f"ext:{page}", _SIX_OR_STRONGER):
                         self._flag(

@@ -34,6 +34,9 @@ event type             emitted by / meaning
                        (``resources`` lists what was released)
 ``lock.release_all``   lock manager: commit/rollback released everything
 ``granule.grow``       protocol: a granule's boundary moved (§3.4)
+                       (``page``, ``level``, ``grew``, ``old_mbr``,
+                       ``new_mbr``; ``parent``: the node's parent on the
+                       operation's planned path, null for the root)
 ``granule.split``      protocol: a node split (``old``/``left``/``right``)
 ``granule.eliminate``  protocol: node elimination during deferred delete
 ``granule.reinsert``   protocol: an orphan entry re-inserted (§3.7)

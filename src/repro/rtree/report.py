@@ -25,6 +25,10 @@ class GrowthRecord:
     level: int
     old_mbr: Optional[Rect]
     new_mbr: Optional[Rect]
+    #: the node's parent on the operation's planned path (``None`` for the
+    #: root).  A split may give the node a new parent afterwards; the
+    #: external granule the change deforms is the planned parent's.
+    parent: Optional[PageId] = None
 
     @property
     def grew(self) -> bool:

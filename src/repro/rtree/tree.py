@@ -484,15 +484,18 @@ class RTree:
 
         self._adjust_upward(path, report)
 
+        parent_id: Optional[PageId] = None
         for node_id in [n.page_id for n in path]:
-            if not self.pager.exists(node_id):
-                continue  # replaced by a split bookkeeping path; splits recorded separately
-            node = self.pager.peek(node_id).payload
-            new_mbr = node.mbr()
-            if new_mbr != old_mbrs.get(node_id):
-                report.growth.append(
-                    GrowthRecord(node_id, node.level, old_mbrs.get(node_id), new_mbr)
-                )
+            if self.pager.exists(node_id):  # else: split bookkeeping, recorded separately
+                node = self.pager.peek(node_id).payload
+                new_mbr = node.mbr()
+                if new_mbr != old_mbrs.get(node_id):
+                    report.growth.append(
+                        GrowthRecord(
+                            node_id, node.level, old_mbrs.get(node_id), new_mbr, parent_id
+                        )
+                    )
+            parent_id = node_id
         return report
 
     def _adjust_upward(self, path: List[Node], report: SMOReport) -> None:
@@ -682,13 +685,14 @@ class RTree:
 
         self._condense(path, report, collect_orphans=collect_orphans)
 
+        parent_id: Optional[PageId] = None
         for node_id, old in old_mbrs.items():
-            if not self.pager.exists(node_id):
-                continue
-            node = self.pager.peek(node_id).payload
-            new = node.mbr()
-            if new != old:
-                report.growth.append(GrowthRecord(node_id, node.level, old, new))
+            if self.pager.exists(node_id):
+                node = self.pager.peek(node_id).payload
+                new = node.mbr()
+                if new != old:
+                    report.growth.append(GrowthRecord(node_id, node.level, old, new, parent_id))
+            parent_id = node_id
 
         self._shrink_root(report)
         return report

@@ -27,19 +27,10 @@ Three fault families:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.concurrency.simulator import Simulator
-
-
-class InjectedAbort(Exception):
-    """A forced abort raised at a protocol yield point (fault injection).
-
-    Deliberately *not* a :class:`~repro.lock.manager.DeadlockError`
-    subclass: the index layer must not mistake it for a deadlock victim;
-    the worker catches it, aborts its transaction and retries.
-    """
+from repro.concurrency.simulator import InjectedAbort, Simulator
 
 
 @dataclass(frozen=True)

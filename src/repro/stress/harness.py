@@ -1,6 +1,7 @@
 """The deterministic concurrency stress harness.
 
-One stress run = one seeded schedule: N worker processes replay generated
+One stress run = one seeded schedule: N worker processes (the client
+driver, :func:`repro.workloads.clients.spawn_clients`) replay generated
 transaction scripts against a :class:`PhantomProtectedRTree` under the
 cooperative simulator, with the protocol's yield points checkpointing the
 baton, fault daemons injecting aborts / cancellations / adversarial
@@ -21,23 +22,21 @@ or, from the command line, ``python -m repro.stress --seed 0..99``.
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.concurrency.history import History
-from repro.concurrency.simulator import ProcessCancelled, SimProcess, Simulator
+from repro.concurrency.simulator import CostModel, SimProcess, Simulator
 from repro.concurrency.waits import SimulatedWait
 from repro.core import InsertionPolicy, PhantomProtectedRTree
-from repro.geometry import Rect
 from repro.lock.manager import LockManager
 from repro.obs.auditor import FlightRecorder, ProtocolAuditor
 from repro.obs.instrument import instrument_index
 from repro.obs.tracer import EventTracer
 from repro.rtree.tree import RTreeConfig
-from repro.stress.faults import FaultInjector, FaultPlan, InjectedAbort
+from repro.stress.faults import FaultInjector, FaultPlan
 from repro.stress.oracle import Violation, check_run, check_wait_events
-from repro.txn import TransactionAborted
+from repro.workloads.clients import spawn_clients
 from repro.workloads.datasets import UNIT, Object, uniform_rects
 from repro.workloads.operations import MixSpec, OpCall, TxnScript, generate_scripts
 
@@ -49,6 +48,10 @@ POLICIES: Dict[str, InsertionPolicy] = {
     # harness's own tests to prove the oracle actually catches phantoms
     "naive": InsertionPolicy.NAIVE,
 }
+
+#: one page read costs 2, each operation 1 more, plus its think time; lock
+#: and predicate traffic is free
+_COSTS = CostModel(io=2.0, cpu=1.0, lock_op=0.0, predicate_check=0.0)
 
 #: the lock manager's wait events, counted into StressResult.wait_events
 _WAIT_EVENTS = frozenset({"lock.enqueue", "lock.grant", "lock.abort", "lock.timeout"})
@@ -157,22 +160,6 @@ def make_scripts(config: StressConfig, preload: List[Object]) -> List[List[TxnSc
     )
 
 
-def _apply(index: PhantomProtectedRTree, txn, op: OpCall):
-    if op.kind == "read_scan":
-        return index.read_scan(txn, op.rect)
-    if op.kind == "insert":
-        return index.insert(txn, op.oid, op.rect)
-    if op.kind == "delete":
-        return index.delete(txn, op.oid, op.rect)
-    if op.kind == "read_single":
-        return index.read_single(txn, op.oid, op.rect)
-    if op.kind == "update_single":
-        return index.update_single(txn, op.oid, op.rect, payload="updated")
-    if op.kind == "update_scan":
-        return index.update_scan(txn, op.rect, lambda oid, rect, old: "bulk-updated")
-    raise ValueError(f"unknown op kind {op.kind!r}")
-
-
 def run_stress(
     config: StressConfig,
     wait_strategy_factory: Optional[Callable[[Simulator], SimulatedWait]] = None,
@@ -248,39 +235,16 @@ def run_stress(
 
     result = StressResult(config=config, violations=[])
 
-    def worker(worker_scripts: List[TxnScript]) -> Callable[[], None]:
-        def body() -> None:
-            for script in worker_scripts:
-                for attempt in range(config.max_retries + 1):
-                    txn = index.begin(f"{script.name}~{attempt}" if attempt else script.name)
-                    try:
-                        for op in script.ops:
-                            op_result = _apply(index, txn, op)
-                            result.operations += 1
-                            if op.kind == "insert":
-                                result.inserts += 1
-                                if getattr(op_result, "changed_boundaries", False):
-                                    result.boundary_changes += 1
-                            cost = op_result.physical_reads * 2.0 + 1.0 + op.think
-                            sim.checkpoint(cost)
-                        index.commit(txn)
-                        break
-                    except TransactionAborted:
-                        pass  # deadlock victim: already rolled back
-                    except (InjectedAbort, ProcessCancelled) as exc:
-                        if txn.is_active:
-                            index.abort(txn, reason=f"fault injection: {exc}")
-                    # back off, staggered per script so two victims do not
-                    # re-collide in lock step (crc32: deterministic, unlike
-                    # per-process-randomised string hashing)
-                    stagger = (zlib.crc32(script.name.encode()) % 7) + 1
-                    sim.checkpoint(5.0 * (attempt + 1) * stagger)
+    def count_op(op: OpCall, op_result) -> None:
+        result.operations += 1
+        if op.kind == "insert":
+            result.inserts += 1
+            if getattr(op_result, "changed_boundaries", False):
+                result.boundary_changes += 1
 
-        return body
-
-    worker_procs: List[SimProcess] = []
-    for w, worker_scripts in enumerate(scripts):
-        worker_procs.append(sim.spawn(f"worker-{w}", worker(worker_scripts), delay=w * 0.01))
+    worker_procs = spawn_clients(
+        sim, index, scripts, _COSTS, config.max_retries, on_op=count_op
+    )
 
     def workers_done() -> bool:
         return all(p.state == SimProcess.DONE for p in worker_procs)

@@ -6,7 +6,8 @@ rectangles with 5% average extent -- plus clustered and skewed variants
 for robustness experiments.
 
 :mod:`repro.workloads.operations` generates transactional operation mixes
-for the concurrency experiments.
+for the concurrency experiments, and :mod:`repro.workloads.clients`
+replays them as closed-loop simulated clients.
 """
 
 from repro.workloads.datasets import (

@@ -1,8 +1,8 @@
 """Granule geometry after random mutation sequences.
 
 Granule geometry once came from a per-page cache; the walk now computes
-it on every call, and this test (which keeps its name) holds the
-long-lived :class:`GranuleSet` of one tree to the same obligation: after
+it on every call, and this test holds the long-lived
+:class:`GranuleSet` of one tree to the same obligation: after
 *any* interleaving of inserts, deletes, splits and root growth/shrink,
 its external regions equal a fresh ``Region.difference``, its walk
 equals the reference walk and its granules cover the universe.

@@ -6,8 +6,7 @@ page into the root role *without writing the child's page*.  From then on
 the promoted page's covered space is the whole universe, not its MBR.
 Granule geometry once came from a per-page cache keyed by page version,
 where the promotion was the hazard; the walk now computes the geometry
-on every call, and these tests (which keep their names) hold it to the
-same bar.  Answering with the child's old, non-root space would shrink
+on every call, and these tests hold it to the same bar.  Answering with the child's old, non-root space would shrink
 the root external granule and let inserts into dead space proceed
 unfenced.
 

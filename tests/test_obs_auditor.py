@@ -194,6 +194,28 @@ class TestAuditRules:
         ))
         assert fenced.ok, fenced.violations
 
+    def test_leaf_growth_inside_parent_requires_six_on_parent_ext(self):
+        # a leaf that grows inside its parent's BR changes no level > 0
+        # granule, but it shrinks ext(parent): the grower needs SIX there
+        grow = ("granule.grow",
+                {"txn": 1, "page": 5, "level": 0, "grew": True, "parent": 2})
+        unfenced = ProtocolAuditor().replay(_events(
+            _begin(1),
+            _op(1, "insert"),
+            _acq(1, "leaf:5", "IX", "commit"),
+            grow,
+        ))
+        assert _rules(unfenced) == ["fence"]
+        assert "ext:2" in unfenced.violations[0].detail
+        fenced = ProtocolAuditor().replay(_events(
+            _begin(1),
+            _op(1, "insert"),
+            _acq(1, "leaf:5", "IX", "commit"),
+            _acq(1, "ext:2", "SIX", "short"),
+            grow,
+        ))
+        assert fenced.ok, fenced.violations
+
     def test_found_read_single_without_s_flagged_first_touch(self):
         a = ProtocolAuditor().replay(_events(
             _begin(1),
