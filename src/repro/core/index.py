@@ -153,6 +153,9 @@ class TransactionalIndex:
         reason = f"deadlock victim: {exc}"
         self.lock_manager.end_operation(txn.txn_id)
         self._record(txn, OpKind.ABORT)
+        if self.tracer is not None:
+            # before the rollback's release_all, as for a vacuum victim
+            self.tracer.emit("txn.abort", txn=txn.txn_id, reason=reason)
         self.txn_manager.abort(txn, reason)
         self._on_finish(txn)
         return TransactionAborted(txn.txn_id, reason)

@@ -512,8 +512,8 @@ class GranuleLockProtocol:
                     blocked = self._acquire_conditional(ctx, wants)
                     if blocked is None:
                         inherit_from = self._highest_inherited_ext(ctx, plan)
-                        # FindLeaf above proved the object absent in this
-                        # latch hold: the tree inserts along the plan.
+                        # The locate above found no entry for the object
+                        # in this latch hold: the tree inserts along the plan.
                         report = self.tree.insert(oid, rect, plan)
                         if on_applied is not None:
                             on_applied()

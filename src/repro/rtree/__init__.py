@@ -4,8 +4,10 @@ This is the multidimensional access method the paper builds on: nodes live
 on storage pages (one node per page), leaves hold ``(oid, rect)`` data
 entries, non-leaf nodes hold ``(mbr, child page id)`` entries.  Insertion
 uses Guttman's ChooseLeaf/AdjustTree with pluggable node-split algorithms
-(quadratic, linear, R*), deletion uses FindLeaf/CondenseTree with node
-elimination and orphan re-insertion at the correct level.
+(quadratic, linear, R*), deletion uses CondenseTree with node
+elimination and orphan re-insertion at the correct level.  Objects are
+located through an object directory kept beside the tree (oid -> leaf
+page id) instead of Guttman's FindLeaf descent.
 
 Two features exist specifically for the locking layer above:
 

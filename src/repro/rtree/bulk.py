@@ -89,6 +89,7 @@ def bulk_load(
         node = Node(page.page_id, level=0)
         node.entries = list(group)
         page.payload = node
+        tree.register_leaf(node)
         level_nodes.append(node)
 
     # Pack index levels until a single node remains.

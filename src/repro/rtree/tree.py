@@ -18,6 +18,14 @@ plan made in the current latch hold can also be handed back to
 :meth:`RTree.insert`, :meth:`RTree.reinsert_entry` and
 :meth:`RTree.delete`, which then apply it along the planned path instead
 of searching again; they refuse a plan whose pages moved since.
+
+Beside the pages the tree keeps an *object directory*, one dict from
+object id to the page id of the leaf holding its entry (tombstoned
+entries included).  It is updated only where leaf entries move, so a
+locate (:meth:`RTree.find_entry`) is one directory probe plus one leaf
+read, and the delete path is that leaf plus its ``parent_id`` chain.  The
+directory is assumed memory-resident: a probe is charged as one logical
+page access that hits the buffer pool.
 """
 
 from __future__ import annotations
@@ -138,6 +146,8 @@ class RTree:
         root_page.payload = Node(root_page.page_id, level=0)
         self.root_id: PageId = root_page.page_id
         self._size = 0  # live (non-tombstoned) data entries
+        #: object directory: oid -> page id of the leaf holding its entry
+        self.directory: Dict[ObjectId, PageId] = {}
 
     # ------------------------------------------------------------------
     # node access
@@ -191,10 +201,17 @@ class RTree:
         """All data entries whose rectangle overlaps ``rect``."""
         self.check_dim(rect)
         results: List[LeafEntry] = []
-        for leaf in self._overlapping_leaf_nodes(rect):
-            for entry in leaf.entries:
-                if entry.rect.intersects(rect) and (include_tombstones or not entry.tombstone):
-                    results.append(entry)  # type: ignore[arg-type]
+        stack = [self.root()]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                for entry in node.entries:
+                    if entry.rect.intersects(rect) and (include_tombstones or not entry.tombstone):
+                        results.append(entry)  # type: ignore[arg-type]
+                continue
+            for entry in node.entries:
+                if entry.rect.intersects(rect):
+                    stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
         return results
 
     def search_leaves(self, leaf_ids: Iterable[PageId], rect: Rect) -> List[LeafEntry]:
@@ -217,14 +234,28 @@ class RTree:
         return self.search(Rect.from_point(point))
 
     def find_entry(self, oid: ObjectId, rect: Rect) -> Optional[Tuple[PageId, LeafEntry]]:
-        """Locate the data entry for ``oid`` (FindLeaf); ``rect`` guides the
-        traversal and must equal the rectangle the object was stored with."""
+        """Locate the data entry for ``oid`` if its rectangle overlaps ``rect``.
+
+        One object-directory probe, charged as a buffer hit, then one leaf
+        read when the oid is present.  The paper's FindLeaf, descending
+        every subtree that overlaps ``rect``, finds every entry this
+        returns.  Objects in flight as orphans of a
+        ``delete(collect_orphans=True)`` are absent until re-inserted.
+        """
         self.check_dim(rect)
-        for leaf in self._overlapping_leaf_nodes(rect):
-            entry = leaf.find_entry(oid)
-            if entry is not None:
-                return leaf.page_id, entry
-        return None
+        located = self._locate(oid, rect)
+        return None if located is None else (located[0].page_id, located[1])
+
+    def _locate(self, oid: ObjectId, rect: Rect) -> Optional[Tuple[Node, LeafEntry]]:
+        self.pager.stats.record_read(hit=True)  # the directory probe
+        leaf_id = self.directory.get(oid)
+        if leaf_id is None:
+            return None
+        leaf = self.node(leaf_id)
+        entry = leaf.find_entry(oid)
+        if entry is None:
+            raise RTreeError(f"directory maps {oid!r} to page {leaf_id}, which does not hold it")
+        return (leaf, entry) if entry.rect.intersects(rect) else None
 
     def overlapping_leaf_ids(self, rect: Rect) -> List[PageId]:
         """Page ids of all leaf granules overlapping ``rect``.
@@ -252,20 +283,10 @@ class RTree:
                     stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
         return result
 
-    def _overlapping_leaf_nodes(self, rect: Rect) -> Iterator[Node]:
-        stack = [self.root()]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-                continue
-            for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
-
-    def iter_leaves(self) -> Iterator[Node]:
-        """Every leaf node, without I/O accounting (validator use)."""
-        stack = [self.pager.peek(self.root_id).payload]
+    def iter_leaves(self, under: PageId = INVALID_PAGE) -> Iterator[Node]:
+        """Every leaf node of the tree, or of the subtree rooted at page
+        ``under``, without I/O accounting (validator use)."""
+        stack = [self.pager.peek(self.root_id if under == INVALID_PAGE else under).payload]
         while stack:
             node = stack.pop()
             if node.is_leaf:
@@ -433,17 +454,15 @@ class RTree:
     # ------------------------------------------------------------------
 
     def insert(self, oid: ObjectId, rect: Rect, plan: Optional[InsertPlan] = None) -> SMOReport:
-        """Insert a data object.  Duplicate oids are rejected.
+        """Insert a data object.  Duplicate oids are rejected (the object
+        directory holds one leaf per oid).
 
         ``plan`` is a :meth:`plan_insert` result for ``rect`` from the
-        caller's current latch hold, made after the caller proved ``oid``
-        absent: the duplicate check is then skipped and the object goes
-        down the planned path.
+        caller's current latch hold: the object then goes down the
+        planned path.
         """
         if rect.dim != self.config.dim:
             raise RTreeError(f"object dimension {rect.dim} != tree dimension {self.config.dim}")
-        if plan is None and self.find_entry(oid, rect) is not None:
-            raise RTreeError(f"duplicate object id {oid!r}")
         report = self._insert_entry(LeafEntry(oid, rect), 0, plan)
         self._size += 1
         return report
@@ -476,10 +495,16 @@ class RTree:
         target = path[-1]
         report.target_leaf = target.page_id if target.is_leaf else None
 
-        target.entries.append(entry)
         if isinstance(entry, ChildEntry):
             child = self.pager.peek(entry.child_id).payload
             child.parent_id = target.page_id
+            for leaf in self.iter_leaves(entry.child_id):
+                self.register_leaf(leaf)
+        elif entry.oid in self.directory:
+            raise RTreeError(f"duplicate object id {entry.oid!r}")
+        else:
+            self.directory[entry.oid] = target.page_id
+        target.entries.append(entry)
         self.pager.write(target.page_id)
 
         self._adjust_upward(path, report)
@@ -535,7 +560,9 @@ class RTree:
         right_page.payload = right
         node.entries = list(left_entries)
         right.entries = list(right_entries)
-        if not node.is_leaf:
+        if node.is_leaf:
+            self.register_leaf(right)
+        else:
             for entry in right.entries:
                 child = self.pager.peek(entry.child_id).payload  # type: ignore[union-attr]
                 child.parent_id = right.page_id
@@ -598,20 +625,40 @@ class RTree:
         return path
 
     def _find_path_to(self, oid: ObjectId, rect: Rect) -> Optional[List[Node]]:
-        """Root-to-leaf path of the leaf containing ``oid``, or ``None``."""
-
-        def descend(node: Node, trail: List[Node]) -> Optional[List[Node]]:
-            trail = trail + [node]
-            if node.is_leaf:
-                return trail if node.find_entry(oid) is not None else None
-            for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    found = descend(self.node(entry.child_id), trail)  # type: ignore[union-attr]
-                    if found is not None:
-                        return found
+        """Root-to-leaf path of the leaf containing ``oid``, or ``None``:
+        the :meth:`find_entry` locate, then the leaf's parent pointers,
+        each parent read through the buffer pool."""
+        located = self._locate(oid, rect)
+        if located is None:
             return None
+        node = located[0]
+        path = [node]
+        while not node.is_root:
+            node = self.node(node.parent_id)
+            path.append(node)
+        path.reverse()
+        return path
 
-        return descend(self.root(), [])
+    # ------------------------------------------------------------------
+    # object directory
+    # ------------------------------------------------------------------
+
+    def register_leaf(self, leaf: Node) -> None:
+        """Point the directory at ``leaf`` for every entry it holds."""
+        page_id = leaf.page_id
+        for entry in leaf.entries:
+            self.directory[entry.oid] = page_id  # type: ignore[union-attr]
+
+    def _unregister(self, entry: Entry) -> None:
+        """Drop an orphan's objects (a data entry, or a whole subtree's)
+        from the directory while it is out of the tree; re-inserting the
+        orphan registers them again."""
+        if isinstance(entry, LeafEntry):
+            del self.directory[entry.oid]
+            return
+        for leaf in self.iter_leaves(entry.child_id):
+            for data in leaf.entries:
+                del self.directory[data.oid]  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
     # deletion
@@ -681,6 +728,7 @@ class RTree:
         report = SMOReport(target_leaf=leaf.page_id)
         old_mbrs = {n.page_id: n.mbr() for n in path}
         leaf.entries.remove(entry)
+        del self.directory[oid]
         self.pager.write(leaf.page_id)
 
         self._condense(path, report, collect_orphans=collect_orphans)
@@ -731,6 +779,7 @@ class RTree:
                 else:
                     child = self.pager.peek(entry.child_id).payload
                     target_level = child.level + 1
+                self._unregister(entry)
                 if collect_orphans:
                     report.orphans.append((entry, target_level))
                 else:

@@ -12,16 +12,18 @@ operation sequences.  Checks, for the whole tree:
    edge (balance);
 4. parent pointers are consistent with the edges;
 5. every page reachable from the root exists in the page manager, and the
-   live size counter matches the number of non-tombstoned entries.
+   live size counter matches the number of non-tombstoned entries;
+6. the object directory equals a full leaf scan: every data entry,
+   tombstoned or not, maps to its own leaf, and no other oid is mapped.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
-from repro.rtree.entry import LeafEntry
+from repro.rtree.entry import LeafEntry, ObjectId
 from repro.rtree.tree import RTree
-from repro.storage.page import INVALID_PAGE
+from repro.storage.page import INVALID_PAGE, PageId
 
 
 class RTreeInvariantError(AssertionError):
@@ -36,6 +38,7 @@ def validate_tree(tree: RTree) -> None:
         errors.append(f"root {root.page_id} has parent {root.parent_id}")
 
     live = 0
+    scanned: Dict[ObjectId, PageId] = {}
     seen_pages = set()
     stack = [root]
     while stack:
@@ -64,7 +67,13 @@ def validate_tree(tree: RTree) -> None:
             for entry in node.entries:
                 if not isinstance(entry, LeafEntry):
                     errors.append(f"leaf {node.page_id} holds non-data entry {entry!r}")
-                elif not entry.tombstone:
+                    continue
+                if entry.oid in scanned:
+                    errors.append(
+                        f"object {entry.oid!r} on leaves {scanned[entry.oid]} and {node.page_id}"
+                    )
+                scanned[entry.oid] = node.page_id
+                if not entry.tombstone:
                     live += 1
             continue
 
@@ -96,6 +105,13 @@ def validate_tree(tree: RTree) -> None:
 
     if live != tree.size:
         errors.append(f"size counter {tree.size} != live entries {live}")
+    if tree.directory != scanned:
+        wrong = sorted(
+            repr(oid)
+            for oid in scanned.keys() | tree.directory.keys()
+            if tree.directory.get(oid) != scanned.get(oid)
+        )
+        errors.append(f"object directory disagrees with the leaves on {len(wrong)} oid(s): {wrong[:5]}")
 
     if errors:
         raise RTreeInvariantError("; ".join(errors))

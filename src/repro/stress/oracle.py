@@ -21,7 +21,9 @@ Checks, in order:
 4. **Structural invariants** -- no leaked lock-table entries, no parked
    waiters left registered, balanced lock wait events (checked by the
    harness with :func:`check_wait_events`), the deferred-delete queue
-   drained, granule coverage without gaps (globally, and node by node: no
+   drained, the R-tree's structural invariants and object directory
+   (:func:`repro.rtree.validate.validate_tree`), granule coverage
+   without gaps (globally, and node by node: no
    entry rect sticking out of its child's MBR or the universe), the
    granule walk agreeing with :func:`reference_overlapping` for the
    universe and every scan predicate, and the final tree contents equal
@@ -42,6 +44,7 @@ from repro.concurrency.history import History, OpKind
 from repro.core.granules import GranuleRef, GranuleSet
 from repro.geometry import Rect, Region
 from repro.lock.resource import ResourceId
+from repro.rtree.validate import RTreeInvariantError, validate_tree
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,10 @@ def check_structure(index, strategy) -> List[Violation]:
                 f"deferred-delete queue not drained: {len(index.deferred)} pending",
             )
         )
+    try:
+        validate_tree(index.tree)
+    except RTreeInvariantError as exc:
+        out.append(Violation("invariant", f"R-tree: {exc}"))
     gaps = index.granules.coverage_leftover()
     if not gaps.is_empty():
         out.append(

@@ -62,6 +62,7 @@ def build_manual_tree(
         node = Node(page.page_id, level=0)
         node.entries = [LeafEntry(oid, r) for oid, r in entries]
         page.payload = node
+        tree.register_leaf(node)
         leaf_nodes.append(node)
         names[f"leaf{i}"] = node.page_id
         tree._size += len(entries)

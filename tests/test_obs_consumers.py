@@ -178,6 +178,19 @@ class TestConsumersAgree:
         assert ProtocolAuditor().replay(events).ok
 
 
+class TestTransactionWindows:
+    def test_every_begin_is_closed_exactly_once(self, tmp_path):
+        """Deadlock victims end in ``txn.abort`` too, so every
+        ``txn.begin`` window closes once (commit or abort)."""
+        _header, events, _ = load_jsonl(str(_record(tmp_path, "t7.jsonl", seed=7)))
+        begun = [e["txn"] for e in events if e["type"] == "txn.begin"]
+        closed = [e["txn"] for e in events if e["type"] in ("txn.commit", "txn.abort")]
+        assert len(begun) == len(set(begun))
+        assert sorted(closed) == sorted(begun)
+        reasons = [e.get("reason", "") for e in events if e["type"] == "txn.abort"]
+        assert any(r.startswith("deadlock victim") for r in reasons)
+
+
 class TestCriticalPath:
     def test_latency_decomposes_into_run_plus_wait(self, traces):
         report, violations = critical_path_from_trace(str(traces["a"]))

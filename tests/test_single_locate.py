@@ -1,10 +1,12 @@
 """One locate per single-object operation.
 
-The protocol locates an object (FindLeaf) or plans its path (ChooseLeaf,
-the delete path search) under the structure latch; the structure
+The protocol locates an object (one object-directory probe plus the leaf
+read) or plans its path (ChooseLeaf, or the delete path: the locate plus
+the leaf's parent pointers) under the structure latch; the structure
 modification then reuses that locate instead of searching again.  These
-tests count page fetches (``logical_reads``) against the same searches run
-on their own, and check that a plan the tree moved under is refused.
+tests pin the page fetches (``logical_reads``) of each search run on its
+own, check that an operation spends exactly those, and check that a plan
+the tree moved under is refused.
 """
 
 import pytest
@@ -52,7 +54,8 @@ class TestOneLocate:
         (plan,) = holder
         # no boundary moves, so the on-growth policy adds no granule walk
         assert not plan.changes_boundaries and not plan.leaf_splits
-        assert findleaf > 0 and chooseleaf > 0
+        assert findleaf == 1  # the directory probe finds no entry
+        assert chooseleaf == tree.height
 
         with index.transaction() as txn:
             spent = reads(index, lambda: index.insert(txn, oid, obj))
@@ -63,6 +66,7 @@ class TestOneLocate:
         index = build_index()
         oid, r = random_objects(300, seed=5)[123]
         findleaf = reads(index, lambda: index.tree.find_entry(oid, r))
+        assert findleaf == 2  # the directory probe and the leaf
         with index.transaction() as txn:
             holder = []
             spent = reads(index, lambda: holder.append(index.delete(txn, oid, r)))
@@ -81,6 +85,8 @@ class TestOneLocate:
         holder = []
         path_search = reads(index, lambda: holder.append(tree.plan_delete(victim.oid, victim.rect)))
         assert not holder[0].underflows and not holder[0].orphan_rects
+        # the locate, then one parent pointer per level above the leaf
+        assert path_search == 1 + tree.height
 
         spent = reads(index, index.vacuum)
         assert spent == path_search
