@@ -331,7 +331,8 @@ class PhantomProtectedRTree(TransactionalIndex):
             entries = self.protocol.execute_scan(ctx, predicate)
             result.matches = [(e.oid, e.rect, self.payloads.get(e.oid)) for e in entries]
             txn.reads += 1
-            self._record(txn, OpKind.READ_SCAN, rect=predicate, result=result.oids)
+            if self.history is not None:  # result.oids is built only to be recorded
+                self._record(txn, OpKind.READ_SCAN, rect=predicate, result=result.oids)
         return result
 
     def update_single(
@@ -387,7 +388,8 @@ class PhantomProtectedRTree(TransactionalIndex):
                 result.matches.append((e.oid, e.rect, new))
             txn.reads += 1
             txn.writes += len(entries)
-            self._record(txn, OpKind.UPDATE_SCAN, rect=predicate, result=result.oids)
+            if self.history is not None:
+                self._record(txn, OpKind.UPDATE_SCAN, rect=predicate, result=result.oids)
         return result
 
     # ------------------------------------------------------------------

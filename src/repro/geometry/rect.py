@@ -39,6 +39,17 @@ class Rect:
         self._hi = hi
         self._hash = hash((lo, hi))
 
+    @classmethod
+    def _derived(cls, lo: Tuple[float, ...], hi: Tuple[float, ...]) -> "Rect":
+        """A box computed from valid boxes (their union, bounding box or
+        intersection): the same fields :meth:`__init__` would store, without
+        re-validating coordinates that already passed it."""
+        rect = object.__new__(cls)
+        rect._lo = lo
+        rect._hi = hi
+        rect._hash = hash((lo, hi))
+        return rect
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -73,7 +84,7 @@ class Rect:
                     lo[i] = r._lo[i]
                 if r._hi[i] > hi[i]:
                     hi[i] = r._hi[i]
-        return cls(lo, hi)
+        return cls._derived(tuple(lo), tuple(hi))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -163,23 +174,32 @@ class Rect:
                 return None
             lo.append(c_lo)
             hi.append(c_hi)
-        return Rect(lo, hi)
+        return Rect._derived(tuple(lo), tuple(hi))
 
     def union(self, other: "Rect") -> "Rect":
         """Minimum bounding rectangle of the two boxes."""
         self._check_dim(other)
-        return Rect(
-            [min(a, b) for a, b in zip(self._lo, other._lo)],
-            [max(a, b) for a, b in zip(self._hi, other._hi)],
+        return Rect._derived(
+            tuple(map(min, self._lo, other._lo)), tuple(map(max, self._hi, other._hi))
         )
 
     def enlargement(self, other: "Rect") -> float:
         """Area increase needed for this box to cover ``other``.
 
         This is Guttman's ChooseLeaf criterion: the leaf whose MBR needs the
-        least enlargement receives the new entry.
+        least enlargement receives the new entry.  Computed without building
+        the union: the sides are taken as :meth:`union` takes them and
+        multiplied in :meth:`area`'s order, so the result is bit-identical
+        to ``self.union(other).area() - self.area()``.
         """
-        return self.union(other).area() - self.area()
+        self._check_dim(other)
+        grown = 1.0
+        area = 1.0
+        for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
+            # min(a, b) / max(a, b) keep ``a`` on ties, as union() does
+            grown *= (b_hi if b_hi > a_hi else a_hi) - (b_lo if b_lo < a_lo else a_lo)
+            area *= a_hi - a_lo
+        return grown - area
 
     def overlap_area(self, other: "Rect") -> float:
         inter = self.intersection(other)
@@ -203,7 +223,7 @@ class Rect:
     # -- plumbing ------------------------------------------------------------
 
     def _check_dim(self, other: "Rect") -> None:
-        if self.dim != other.dim:
+        if len(self._lo) != len(other._lo):
             raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
 
     def __eq__(self, other: object) -> bool:

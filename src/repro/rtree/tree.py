@@ -329,9 +329,10 @@ class RTree:
         plan = InsertPlan(
             rect=rect, path_ids=[n.page_id for n in path], target_level=target_level
         )
+        old_mbrs = self._path_mbrs(path)
         leaf = path[-1]
         plan.leaf_id = leaf.page_id
-        plan.leaf_old_mbr = leaf.mbr()
+        plan.leaf_old_mbr = old_mbrs[-1]
         plan.leaf_grows = plan.leaf_old_mbr is None or not plan.leaf_old_mbr.contains(rect)
         plan.leaf_splits = len(leaf.entries) + 1 > self.config.max_entries
 
@@ -348,11 +349,10 @@ class RTree:
 
         # A node's MBR grows exactly when the object escapes it (the new
         # MBR is old ∪ rect at every level of the path).
-        grows: Dict[PageId, bool] = {}
-        for node in path:
-            mbr = node.mbr()
-            grows[node.page_id] = mbr is None or not mbr.contains(rect)
-        grows[leaf.page_id] = plan.leaf_grows
+        grows: Dict[PageId, bool] = {
+            node.page_id: mbr is None or not mbr.contains(rect)
+            for node, mbr in zip(path, old_mbrs)
+        }
 
         # ext(P) changes for every path node P whose on-path child grows or
         # splits -- the short-duration SIX set of Table 3.
@@ -376,6 +376,7 @@ class RTree:
             return None
         path = located
         leaf = path[-1]
+        old_mbrs = self._path_mbrs(path)
         underflows = len(leaf.entries) - 1 < self.config.min_entries and not leaf.is_root
         plan = DeletePlan(
             oid=oid,
@@ -408,9 +409,11 @@ class RTree:
             assert entry is not None
             remaining = [e.rect for e in leaf.entries if e is not entry]
             new_mbr = Rect.bounding(remaining) if remaining else None
-            child_changed = new_mbr != leaf.mbr()
+            child_changed = new_mbr != old_mbrs[-1]
             child_new = new_mbr
-            for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
+            for parent, child, parent_old in zip(
+                reversed(path[:-1]), reversed(path[1:]), reversed(old_mbrs[:-1])
+            ):
                 if not child_changed:
                     break
                 plan.changed_external_parents.append(parent.page_id)
@@ -420,7 +423,7 @@ class RTree:
                 if child_new is not None:
                     sibling_rects.append(child_new)
                 parent_new = Rect.bounding(sibling_rects) if sibling_rects else None
-                child_changed = parent_new != parent.mbr()
+                child_changed = parent_new != parent_old
                 child_new = parent_new
         plan.versions = self._stamp_versions(plan.path_ids)
         return plan
@@ -448,6 +451,20 @@ class RTree:
         if not self.plan_is_current(plan.versions) or plan.path_ids[0] != self.root_id:
             raise RTreeError("stale plan: the tree moved since it was made")
         return [self.node(page_id, count_io=False) for page_id in plan.path_ids]
+
+    def _path_mbrs(self, path: List[Node]) -> List[Optional[Rect]]:
+        """The current MBR of each node on a root-first path.
+
+        Only the root's is computed from its entries; every other node's
+        is its entry rectangle in the parent, which :func:`validate_tree`
+        checks equals the child's MBR.
+        """
+        mbrs = [path[0].mbr()]
+        for parent, child in zip(path, path[1:]):
+            entry = parent.child_entry(child.page_id)
+            assert entry is not None
+            mbrs.append(entry.rect)
+        return mbrs
 
     # ------------------------------------------------------------------
     # insertion
@@ -491,7 +508,7 @@ class RTree:
             if plan.rect != entry.rect or plan.target_level != target_level:
                 raise RTreeError("plan was made for another rectangle or level")
             path = self._planned_path(plan)
-        old_mbrs = {n.page_id: n.mbr() for n in path}
+        old_mbrs = self._path_mbrs(path)
         target = path[-1]
         report.target_leaf = target.page_id if target.is_leaf else None
 
@@ -507,53 +524,59 @@ class RTree:
         target.entries.append(entry)
         self.pager.write(target.page_id)
 
-        self._adjust_upward(path, report)
+        new_mbrs = self._adjust_upward(path, old_mbrs, entry.rect, report)
 
         parent_id: Optional[PageId] = None
-        for node_id in [n.page_id for n in path]:
-            if self.pager.exists(node_id):  # else: split bookkeeping, recorded separately
-                node = self.pager.peek(node_id).payload
-                new_mbr = node.mbr()
-                if new_mbr != old_mbrs.get(node_id):
-                    report.growth.append(
-                        GrowthRecord(
-                            node_id, node.level, old_mbrs.get(node_id), new_mbr, parent_id
-                        )
-                    )
-            parent_id = node_id
+        for node, old, new in zip(path, old_mbrs, new_mbrs):
+            if new != old:
+                report.growth.append(GrowthRecord(node.page_id, node.level, old, new, parent_id))
+            parent_id = node.page_id
         return report
 
-    def _adjust_upward(self, path: List[Node], report: SMOReport) -> None:
-        """AdjustTree: propagate MBR updates and splits from leaf to root."""
-        idx = len(path) - 1
-        while idx >= 0:
+    def _adjust_upward(
+        self, path: List[Node], old_mbrs: List[Optional[Rect]], rect: Rect, report: SMOReport
+    ) -> List[Rect]:
+        """AdjustTree: propagate MBR updates and splits from leaf to root
+        after ``rect`` was added to ``path[-1]``; returns the path nodes'
+        MBRs afterwards.
+
+        Every path node gained ``rect`` (directly, or through its on-path
+        child's entry or that child's two split halves), so a node covers
+        ``old ∪ rect`` now; only a split node's halves are recomputed from
+        their entries.  ``old_mbrs[i]`` is also ``path[i]``'s current entry
+        rectangle in its parent.
+        """
+        new_mbrs: List[Rect] = []
+        for idx in range(len(path) - 1, -1, -1):
             node = path[idx]
+            old = old_mbrs[idx]
+            grown = rect if old is None else old.union(rect)
             if len(node.entries) > self.config.max_entries:
-                right = self._split_node(node, report)
+                right, left_mbr, right_mbr = self._split_node(node, grown, report)
+                new_mbrs.append(left_mbr)
                 if idx == 0:
-                    self._grow_root(node, right, report)
+                    self._grow_root(node, left_mbr, right, right_mbr, report)
                 else:
                     parent = path[idx - 1]
                     ce = parent.child_entry(node.page_id)
                     assert ce is not None
-                    ce.rect = node.mbr()  # type: ignore[assignment]
-                    parent.entries.append(ChildEntry(right.mbr(), right.page_id))  # type: ignore[arg-type]
+                    ce.rect = left_mbr
+                    parent.entries.append(ChildEntry(right_mbr, right.page_id))
                     right.parent_id = parent.page_id
                     self.pager.write(parent.page_id)
-            elif idx > 0:
-                parent = path[idx - 1]
-                ce = parent.child_entry(node.page_id)
-                assert ce is not None
-                new_mbr = node.mbr()
-                assert new_mbr is not None
-                if ce.rect != new_mbr:
-                    ce.rect = new_mbr
-                    self.pager.write(parent.page_id)
-            idx -= 1
+            else:
+                new_mbrs.append(grown)
+                if idx > 0 and grown != old:
+                    ce = path[idx - 1].child_entry(node.page_id)
+                    assert ce is not None
+                    ce.rect = grown
+                    self.pager.write(path[idx - 1].page_id)
+        new_mbrs.reverse()
+        return new_mbrs
 
-    def _split_node(self, node: Node, report: SMOReport) -> Node:
-        """Split an overflowing node in place; returns the new right node."""
-        old_mbr = node.mbr()
+    def _split_node(self, node: Node, old_mbr: Rect, report: SMOReport) -> Tuple[Node, Rect, Rect]:
+        """Split an overflowing node (whose MBR is ``old_mbr``) in place;
+        returns the new right node and the MBRs of both halves."""
         left_entries, right_entries = self.config.split_fn(node.entries, self.config.min_entries)
         right_page = self.pager.allocate()
         right = Node(right_page.page_id, node.level, parent_id=node.parent_id)
@@ -582,15 +605,14 @@ class RTree:
                 right_mbr=right_mbr,
             )
         )
-        return right
+        return right, left_mbr, right_mbr
 
-    def _grow_root(self, left: Node, right: Node, report: SMOReport) -> None:
+    def _grow_root(
+        self, left: Node, left_mbr: Rect, right: Node, right_mbr: Rect, report: SMOReport
+    ) -> None:
         root_page = self.pager.allocate()
         new_root = Node(root_page.page_id, level=left.level + 1)
         root_page.payload = new_root
-        left_mbr = left.mbr()
-        right_mbr = right.mbr()
-        assert left_mbr is not None and right_mbr is not None
         new_root.entries = [ChildEntry(left_mbr, left.page_id), ChildEntry(right_mbr, right.page_id)]
         left.parent_id = new_root.page_id
         right.parent_id = new_root.page_id
@@ -607,14 +629,14 @@ class RTree:
             best_enlargement = float("inf")
             best_area = float("inf")
             for entry in node.entries:
+                # the area only breaks ties: it is taken for ties and winners
                 enlargement = entry.rect.enlargement(rect)
-                area = entry.rect.area()
                 if enlargement < best_enlargement or (
-                    enlargement == best_enlargement and area < best_area
+                    enlargement == best_enlargement and entry.rect.area() < best_area
                 ):
                     best_entry = entry  # type: ignore[assignment]
                     best_enlargement = enlargement
-                    best_area = area
+                    best_area = entry.rect.area()
             assert best_entry is not None, "non-leaf node with no entries"
             node = self.node(best_entry.child_id)
             path.append(node)
@@ -726,7 +748,7 @@ class RTree:
         if not entry.tombstone:
             self._size -= 1
         report = SMOReport(target_leaf=leaf.page_id)
-        old_mbrs = {n.page_id: n.mbr() for n in path}
+        old_mbrs = dict(zip([n.page_id for n in path], self._path_mbrs(path)))
         leaf.entries.remove(entry)
         del self.directory[oid]
         self.pager.write(leaf.page_id)

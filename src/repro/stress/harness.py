@@ -275,7 +275,13 @@ def run_stress(
         sim.spawn("chaos", chaos_body, delay=plan.cancel_interval * 1.5)
 
     sim.run()
-    sim.raise_process_errors()
+    # a process that raised is this seed's failure, not the sweep's: it is
+    # reported, counted, minimized and traced like any other violation
+    result.violations = [
+        Violation("process", f"{proc.name} raised {type(proc.error).__name__}: {proc.error}")
+        for proc in sim.processes
+        if proc.error is not None
+    ]
 
     result.committed = index.txn_manager.committed - 1  # exclude the preload txn
     result.aborted = index.txn_manager.aborted
@@ -283,9 +289,15 @@ def run_stress(
     result.steps = sim.steps
 
     # drain every deferred delete on the driver thread (the fault injector
-    # ignores non-simulated threads), then interrogate the oracle
-    index.vacuum()
-    result.violations = check_run(history, index, strategy, universe=UNIT)
+    # ignores non-simulated threads), then interrogate the oracle; a state
+    # that makes either raise is a violation too
+    try:
+        index.vacuum()
+        result.violations.extend(check_run(history, index, strategy, universe=UNIT))
+    except Exception as exc:
+        result.violations.append(
+            Violation("process", f"post-run oracle raised {type(exc).__name__}: {exc}")
+        )
     result.violations.extend(check_wait_events(wait_events, lm.wait_count))
     result.audit_verdict = auditor.verdict()
     result.violations.extend(Violation("audit", str(v)) for v in auditor.violations)

@@ -51,7 +51,9 @@ from repro.rtree.validate import RTreeInvariantError, validate_tree
 class Violation:
     """One oracle finding."""
 
-    kind: str  # "phantom" | "serializability" | "lost-update" | "invariant" | "audit"
+    #: "phantom" | "serializability" | "lost-update" | "invariant" | "audit"
+    #: | "process" (a simulated process or the post-run oracle raised)
+    kind: str
     detail: str
 
     def __str__(self) -> str:

@@ -8,7 +8,9 @@ victim comes back already rolled back; a fault (``InjectedAbort`` at a
 yield point, ``ProcessCancelled`` out of a parked wait) leaves the
 transaction active, so the driver aborts it.  Either way the client backs
 off ``5·(attempt+1)·stagger`` units and retries as ``"<script>~<attempt>"``;
-a script that fails ``max_retries + 1`` times is dropped.  The Table 4
+a script that fails ``max_retries + 1`` times is dropped.  Any other
+exception aborts the active transaction and ends the client's process
+(the simulator records it on the process).  The Table 4
 runner and the stress harness both drive their indexes through this loop.
 """
 
@@ -89,6 +91,12 @@ def spawn_clients(
                     except (InjectedAbort, ProcessCancelled) as exc:
                         if txn.is_active:
                             index.abort(txn, reason=f"fault injection: {exc}")
+                    except Exception as exc:
+                        # any other failure ends this client, but first
+                        # releases the locks the other clients may wait on
+                        if txn.is_active:
+                            index.abort(txn, reason=f"client failure: {exc!r}")
+                        raise
                     # zlib CRC, not hash(): string hashing is randomised
                     # per process and would break run determinism
                     stagger = (zlib.crc32(script.name.encode()) % 7) + 1

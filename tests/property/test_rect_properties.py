@@ -98,3 +98,50 @@ def test_area_matches_sides(a):
 @given(rects(), st.floats(min_value=0, max_value=10, allow_nan=False))
 def test_expand_contains_original(a, amount):
     assert a.expanded(amount).contains(a)
+
+
+@st.composite
+def same_dim_rects(draw, count=2):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    return [draw(rects(dim)) for _ in range(count)]
+
+
+def assert_validated_twin(derived, lo, hi):
+    """``derived`` holds exactly what ``Rect(lo, hi)`` -- the validating
+    constructor -- would: the same coordinates bit for bit, and the same
+    hash."""
+    twin = Rect(lo, hi)
+    assert repr(derived.lo) == repr(twin.lo) and repr(derived.hi) == repr(twin.hi)
+    assert derived == twin and hash(derived) == hash(twin)
+
+
+@given(same_dim_rects())
+def test_enlargement_is_exactly_union_area_minus_area(pair):
+    a, b = pair
+    assert a.enlargement(b) == a.union(b).area() - a.area()
+
+
+@given(same_dim_rects())
+def test_union_and_intersection_match_validating_constructor(pair):
+    a, b = pair
+    assert_validated_twin(
+        a.union(b),
+        [min(p, q) for p, q in zip(a.lo, b.lo)],
+        [max(p, q) for p, q in zip(a.hi, b.hi)],
+    )
+    lo = [max(p, q) for p, q in zip(a.lo, b.lo)]
+    hi = [min(p, q) for p, q in zip(a.hi, b.hi)]
+    inter = a.intersection(b)
+    if all(p <= q for p, q in zip(lo, hi)):
+        assert_validated_twin(inter, lo, hi)
+    else:
+        assert inter is None
+
+
+@given(same_dim_rects(count=5))
+def test_bounding_matches_validating_constructor(boxes):
+    assert_validated_twin(
+        Rect.bounding(boxes),
+        [min(r.lo[i] for r in boxes) for i in range(boxes[0].dim)],
+        [max(r.hi[i] for r in boxes) for i in range(boxes[0].dim)],
+    )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Rect
 from repro.rtree import RTree, RTreeConfig, validate_tree
+from repro.rtree.report import GrowthRecord
 
 coord = st.floats(min_value=0, max_value=1, allow_nan=False, allow_infinity=False)
 
@@ -91,3 +92,73 @@ def test_tombstones_equivalent_to_absence_for_search(rect_list):
     assert got == [i for i in range(len(rect_list)) if i % 2 == 1]
     # physical layout unchanged: tombstoned entries still present
     assert len(tree.all_entries(include_tombstones=True)) == len(rect_list)
+
+
+def _mbr_snapshot(tree):
+    """Every node's MBR, recomputed from its entries."""
+    return {node.page_id: node.mbr() for node in tree.iter_nodes()}
+
+
+def _checked_insert(tree, insert, rect, level, use_plan):
+    """Run one insert (``insert(plan)``) and check its growth records
+    against a reference that recomputes ``Node.mbr()`` before and after
+    it: each path node whose MBR moved, root first, with its path parent."""
+    before = _mbr_snapshot(tree)
+    plan = tree.plan_insert(rect, target_level=level)
+    report = insert(plan if use_plan else None)
+    expected = []
+    parent = None
+    for page_id in plan.path_ids:
+        node = tree.pager.peek(page_id).payload
+        if node.mbr() != before[page_id]:
+            expected.append(GrowthRecord(page_id, node.level, before[page_id], node.mbr(), parent))
+        parent = page_id
+    assert report.growth == expected
+
+
+growth_steps = st.lists(
+    st.tuples(st.sampled_from(["insert", "insert", "delete"]), small_rects(), st.booleans()),
+    min_size=1,
+    max_size=80,
+)
+
+
+@given(
+    st.lists(small_rects(), min_size=8, max_size=40),
+    growth_steps,
+    st.integers(min_value=4, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_growth_records_match_recomputed_mbrs(preload, steps, fanout):
+    """Inserts and orphan re-insertions derive each path node's MBR from
+    its parent entry and ``old ∪ rect``; the growth records they report
+    must equal a reference that recomputes ``Node.mbr()`` before and after
+    every step.  The preload overflows the root leaf (fanout <= 6), so
+    every example splits and grows the root."""
+    tree = RTree(RTreeConfig(max_entries=fanout))
+    model = {}
+    rng = random.Random(7)
+    steps = [("insert", rect, i % 2 == 0) for i, rect in enumerate(preload)] + steps
+    for step, (kind, rect, use_plan) in enumerate(steps):
+        if kind == "insert" or not model:
+            _checked_insert(
+                tree, lambda plan: tree.insert(step, rect, plan=plan), rect, 0, use_plan
+            )
+            model[step] = rect
+        else:
+            oid = rng.choice(sorted(model))
+            before = _mbr_snapshot(tree)
+            report = tree.delete(oid, model.pop(oid), collect_orphans=True)
+            # a delete takes its new MBRs with Node.mbr() itself, while its
+            # orphans are out and before the root shrinks; its old MBRs
+            # come from the parent entries
+            assert all(g.old_mbr == before[g.page_id] for g in report.growth)
+            for entry, level in report.orphans:
+                _checked_insert(
+                    tree,
+                    lambda plan: tree.reinsert_entry(entry, level, plan=plan),
+                    entry.rect,
+                    level,
+                    use_plan,
+                )
+        validate_tree(tree)

@@ -23,8 +23,10 @@ from repro.stress import (
     save_artifact,
 )
 from repro.stress.__main__ import main as stress_main, parse_seeds
+from repro.stress import harness
 from repro.stress.figure2a import figure2a_scripts
 from repro.stress.oracle import check_wait_events
+from repro.workloads.operations import OpCall
 
 SOUND_POLICIES = ("all-paths", "on-growth", "active-searchers")
 
@@ -210,6 +212,28 @@ class TestCli:
         assert len(artifacts) == 1
         doc = json.loads(artifacts[0].read_text())
         assert doc["schema"] == "dgl-stress/1"
+
+    def test_client_exception_fails_only_its_seed(self, tmp_path, monkeypatch, capsys):
+        make_scripts = harness.make_scripts
+
+        def scripts_with_a_bad_op(config, preload):
+            scripts = make_scripts(config, preload)
+            if config.seed == 2:
+                # an operation the client driver cannot apply: worker-1
+                # raises ValueError out of its process body
+                scripts[1][0].ops.insert(0, OpCall("explode"))
+            return scripts
+
+        monkeypatch.setattr(harness, "make_scripts", scripts_with_a_bad_op)
+        status = stress_main(["--seed", "0..3", "--quiet", "--artifact-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "stress sweep: 4 seed(s), 1 failure(s)" in out
+        assert [p.name for p in tmp_path.glob("stress-seed*.json")] == ["stress-seed2.json"]
+        doc = json.loads((tmp_path / "stress-seed2.json").read_text())
+        details = [v["detail"] for v in doc["result"]["violations"] if v["kind"] == "process"]
+        assert details == ["worker-1 raised ValueError: unknown op kind 'explode'"]
+        assert (tmp_path / "stress-seed2.trace.jsonl").exists()
 
 
 @pytest.mark.stress
