@@ -7,7 +7,10 @@ pending event off a priority queue, advances the simulated clock, and
 hands the baton over.  A process gives the baton back by
 
 * :meth:`Simulator.checkpoint` -- "this step cost N simulated time units";
-  the process is re-scheduled at ``clock + N``;
+  the process is re-scheduled at ``clock + N``.  When that is strictly
+  earlier than every pending event, the scheduler would pop this same
+  process next, so the checkpoint takes the scheduler's step itself and
+  returns without a thread hand-off;
 * :meth:`Simulator.block` -- "I am waiting for something" (a lock);
   the process is re-scheduled only when :meth:`Simulator.wake` is called
   for it (the lock manager's wait strategy does this on grant);
@@ -147,6 +150,8 @@ class Simulator:
         self.processes: List[SimProcess] = []
         self._running: Optional[SimProcess] = None
         self.steps = 0
+        #: the ``max_steps`` of the current :meth:`run`; ``None`` is no limit
+        self._max_steps: Optional[int] = None
         #: when enabled, every dispatch appends ``(clock, process name)`` --
         #: the schedule trace the stress harness embeds in repro artifacts
         self.record_schedule = record_schedule
@@ -180,6 +185,7 @@ class Simulator:
 
     def run(self, max_steps: Optional[int] = None) -> None:
         """Drive the simulation until every process finished."""
+        self._max_steps = max_steps
         while True:
             with self._heap_lock:
                 pending = bool(self._queue)
@@ -201,8 +207,10 @@ class Simulator:
                 raise SimDeadlock(f"exceeded {max_steps} scheduler steps")
             self._dispatch(proc)
 
-    #: wall-clock seconds a dispatched process may hold the baton before the
-    #: scheduler declares a hang (a real-thread deadlock, e.g. a latch bug)
+    #: wall-clock seconds the baton may go without a scheduler step before
+    #: the scheduler declares a hang (a real-thread deadlock, e.g. a latch
+    #: bug).  Steps taken in place by :meth:`checkpoint` count as progress,
+    #: so a hang is reported between one and two timeouts after the last step.
     hang_timeout: float = 60.0
 
     def _dispatch(self, proc: SimProcess) -> None:
@@ -212,23 +220,44 @@ class Simulator:
         proc.state = SimProcess.RUNNING
         self._control.clear()
         proc.event.set()
-        if not self._control.wait(timeout=self.hang_timeout):
-            states = ", ".join(f"{p.name}({p.state})" for p in self.processes)
-            raise SimDeadlock(
-                f"process {proc.name!r} held the baton over {self.hang_timeout}s "
-                f"of wall time -- real-thread deadlock? states: {states}"
-            )
+        seen = self.steps
+        while not self._control.wait(timeout=self.hang_timeout):
+            if self.steps == seen:
+                states = ", ".join(f"{p.name}({p.state})" for p in self.processes)
+                raise SimDeadlock(
+                    f"process {proc.name!r} held the baton over {self.hang_timeout}s "
+                    f"of wall time without a step -- real-thread deadlock? states: {states}"
+                )
+            seen = self.steps
         self._running = None
 
     # -- called from inside processes ----------------------------------------
 
     def checkpoint(self, cost: float = 0.0) -> None:
-        """Yield the baton; resume after ``cost`` simulated time units."""
+        """Yield the baton; resume after ``cost`` simulated time units.
+
+        A resume strictly earlier than the head of the event queue (or an
+        empty queue) is the scheduler's next pop anyway, so the step is
+        taken here, in place.  A tie goes to the queued event, which holds
+        the lower sequence number.
+        """
         proc = self.current()
         if self.jitter:
             cost += cost * self.jitter * self.rng.random()
+        at = self.clock + cost
+        with self._heap_lock:
+            queue = self._queue
+            if (not queue or at < queue[0][0]) and (
+                self._max_steps is None or self.steps < self._max_steps
+            ):
+                next(self._seq)
+                self.clock = max(self.clock, at)
+                self.steps += 1
+                if self.record_schedule:
+                    self.schedule.append((self.clock, proc.name))
+                return
+            heapq.heappush(queue, (at, next(self._seq), proc))
         proc.state = SimProcess.READY
-        self._schedule(proc, self.clock + cost)
         self._control.set()
         proc.event.wait()
         proc.event.clear()

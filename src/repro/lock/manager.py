@@ -255,7 +255,9 @@ class LockManager:
         :class:`LockTimeout`.
         """
         with self._mutex:
-            head = self._heads.setdefault(resource, _LockHead())
+            head = self._heads.get(resource)
+            if head is None:
+                head = self._heads[resource] = _LockHead()
             held = head.granted.get(txn_id)
             conversion = held is not None and not held.empty()
 
@@ -473,11 +475,21 @@ class LockManager:
         mode: LockMode,
         duration: LockDuration,
     ) -> None:
-        held = head.granted.setdefault(txn_id, _Held())
+        held = head.granted.get(txn_id)
+        if held is None:
+            held = head.granted[txn_id] = _Held()
         held.add(mode, duration)
         if duration is LockDuration.SHORT:
-            self._short_holds.setdefault(txn_id, []).append((resource, mode))
-        self._txn_resources.setdefault(txn_id, set()).add(resource)
+            shorts = self._short_holds.get(txn_id)
+            if shorts is None:
+                self._short_holds[txn_id] = [(resource, mode)]
+            else:
+                shorts.append((resource, mode))
+        resources = self._txn_resources.get(txn_id)
+        if resources is None:
+            self._txn_resources[txn_id] = {resource}
+        else:
+            resources.add(resource)
         counts = self.acquisition_counts
         counts[mode.value] = counts.get(mode.value, 0) + 1
 

@@ -30,6 +30,12 @@ class LockMode(enum.Enum):
     SIX = "SIX"
     X = "X"
 
+    # Members are singletons, so identity hashing is exact, and it runs in
+    # C: ``Enum.__hash__`` hashes the member name in Python, and the lock
+    # table hashes modes on every grant check.  No order is read off a
+    # hash of a mode.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # terse traces
         return self.value
 
@@ -41,6 +47,8 @@ class LockDuration(enum.Enum):
     SHORT = "short"
     #: released at transaction commit or rollback
     COMMIT = "commit"
+
+    __hash__ = object.__hash__  # as for LockMode
 
     def __repr__(self) -> str:
         return self.value

@@ -753,13 +753,15 @@ class RTree:
         del self.directory[oid]
         self.pager.write(leaf.page_id)
 
-        self._condense(path, report, collect_orphans=collect_orphans)
+        new_mbrs = self._condense(path, report, collect_orphans=collect_orphans)
 
         parent_id: Optional[PageId] = None
         for node_id, old in old_mbrs.items():
             if self.pager.exists(node_id):
                 node = self.pager.peek(node_id).payload
-                new = node.mbr()
+                new = new_mbrs.get(node_id)
+                if new is None:
+                    new = node.mbr()
                 if new != old:
                     report.growth.append(GrowthRecord(node_id, node.level, old, new, parent_id))
             parent_id = node_id
@@ -767,9 +769,17 @@ class RTree:
         self._shrink_root(report)
         return report
 
-    def _condense(self, path: List[Node], report: SMOReport, collect_orphans: bool = False) -> None:
-        """CondenseTree: eliminate underfull nodes bottom-up, re-insert orphans."""
+    def _condense(
+        self, path: List[Node], report: SMOReport, collect_orphans: bool = False
+    ) -> Dict[PageId, Rect]:
+        """CondenseTree: eliminate underfull nodes bottom-up, re-insert orphans.
+
+        Returns the new MBR of each surviving non-root path node, as
+        computed here for its parent entry.  It is empty when orphans were
+        re-inserted in place, since they may have moved those MBRs again.
+        """
         eliminated: List[Node] = []
+        new_mbrs: Dict[PageId, Rect] = {}
         idx = len(path) - 1
         while idx > 0:
             node = path[idx]
@@ -783,6 +793,7 @@ class RTree:
                 assert ce is not None
                 new_mbr = node.mbr()
                 assert new_mbr is not None
+                new_mbrs[node.page_id] = new_mbr
                 if ce.rect != new_mbr:
                     ce.rect = new_mbr
                     self.pager.write(parent.page_id)
@@ -805,11 +816,13 @@ class RTree:
                 if collect_orphans:
                     report.orphans.append((entry, target_level))
                 else:
+                    new_mbrs.clear()
                     sub = self._insert_entry(entry, target_level=target_level)
                     if isinstance(entry, LeafEntry):
                         assert sub.target_leaf is not None
                         report.reinserted.append(ReinsertRecord(entry, sub.target_leaf))
                     report.merge(sub)
+        return new_mbrs
 
     def _shrink_root(self, report: SMOReport) -> None:
         while True:

@@ -147,12 +147,23 @@ def test_growth_records_match_recomputed_mbrs(preload, steps, fanout):
             model[step] = rect
         else:
             oid = rng.choice(sorted(model))
-            before = _mbr_snapshot(tree)
+            nodes = {node.page_id: node for node in tree.iter_nodes()}
+            before = {page_id: node.mbr() for page_id, node in nodes.items()}
+            path_ids = tree.plan_delete(oid, model[oid]).path_ids
             report = tree.delete(oid, model.pop(oid), collect_orphans=True)
-            # a delete takes its new MBRs with Node.mbr() itself, while its
-            # orphans are out and before the root shrinks; its old MBRs
-            # come from the parent entries
-            assert all(g.old_mbr == before[g.page_id] for g in report.growth)
+            # a delete's old MBRs come from the parent entries and its new
+            # ones from CondenseTree, taken while its orphans are out and
+            # before the root shrinks: recompute both from the nodes, which
+            # nothing has touched since
+            recorded = [g.page_id for g in report.growth]
+            assert recorded == [p for p in path_ids if p in recorded]
+            for g in report.growth:
+                assert g.old_mbr == before[g.page_id]
+                assert g.new_mbr == nodes[g.page_id].mbr()
+                assert g.level == nodes[g.page_id].level
+            for page_id in path_ids:
+                if page_id not in report.eliminated and nodes[page_id].mbr() != before[page_id]:
+                    assert page_id in recorded
             for entry, level in report.orphans:
                 _checked_insert(
                     tree,

@@ -1,9 +1,26 @@
 """Unit tests for the discrete-event simulator."""
 
+import hashlib
+import threading
+import time
+
 import pytest
 
 from repro.concurrency import SimDeadlock, SimulatedWait, Simulator
 from repro.lock import DeadlockError, LockManager, LockMode, ResourceId
+from repro.stress import StressConfig, run_stress
+
+
+class _CountingEvent(threading.Event):
+    """A ``threading.Event`` that counts its ``set`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = 0
+
+    def set(self):
+        self.sets += 1
+        super().set()
 
 
 class TestScheduling:
@@ -93,6 +110,136 @@ class TestScheduling:
         sim.spawn("b", lambda: 2)
         sim.run()
         assert sim.results() == {"a": 1, "b": 2}
+
+
+class TestInPlaceSteps:
+    """A checkpoint that is still the earliest event keeps the baton."""
+
+    def test_lone_process_never_hands_the_baton_back(self):
+        sim = Simulator(record_schedule=True)
+        sim._control = control = _CountingEvent()
+        costs = [3, 0, 2.5, 1]
+
+        def body():
+            for cost in costs:
+                sim.checkpoint(cost)
+
+        sim.spawn("p", body)
+        sim.run()
+        # the scheduler dispatched once and was woken once, by the exit
+        assert control.sets == 1
+        assert sim.steps == 1 + len(costs)
+        assert sim.clock == 6.5
+        assert sim.schedule == [(0.0, "p"), (3, "p"), (3, "p"), (5.5, "p"), (6.5, "p")]
+
+    def test_equal_costs_alternate_strictly(self):
+        """A tie goes to the queued event: with equal costs and no jitter
+        two processes take turns, and every checkpoint hands the baton over."""
+        sim = Simulator(record_schedule=True)
+        sim._control = control = _CountingEvent()
+        log = []
+
+        def make(name):
+            def body():
+                for _ in range(4):
+                    log.append((name, sim.clock))
+                    sim.checkpoint(1)
+
+            return body
+
+        sim.spawn("a", make("a"))
+        sim.spawn("b", make("b"))
+        sim.run()
+        assert log == [(name, float(t)) for t in range(4) for name in "ab"]
+        assert [name for _, name in sim.schedule] == ["a", "b"] * 5
+        assert sim.steps == 10
+        assert control.sets == 10  # 8 checkpoints + 2 exits
+
+    def test_earlier_wakeup_takes_the_baton(self):
+        sim = Simulator()
+        log = []
+
+        def sleeper():
+            sim.block()
+            log.append(("sleeper", sim.clock))
+
+        def waker(proc):
+            sim.checkpoint(5)
+            sim.wake(proc, delay=1)  # due at 6, before the waker's next step
+            sim.checkpoint(10)
+            log.append(("waker", sim.clock))
+
+        proc = sim.spawn("sleeper", sleeper)
+        sim.spawn("waker", lambda: waker(proc))
+        sim.run()
+        assert log == [("sleeper", 6.0), ("waker", 15.0)]
+
+    def test_later_wakeup_leaves_the_baton_with_the_waker(self):
+        sim = Simulator()
+        sim._control = control = _CountingEvent()
+        log = []
+
+        def sleeper():
+            sim.block()
+            log.append(("sleeper", sim.clock))
+
+        def waker(proc):
+            sim.wake(proc, delay=20)
+            sim.checkpoint(5)  # due at 5, before the wake-up at 20
+            log.append(("waker", sim.clock))
+
+        proc = sim.spawn("sleeper", sleeper)
+        sim.spawn("waker", lambda: waker(proc))
+        sim.run()
+        assert log == [("waker", 5.0), ("sleeper", 20.0)]
+        # the sleeper's block and the two exits; the waker's checkpoint
+        # stayed in place
+        assert control.sets == 3
+
+    def test_long_lone_run_is_not_a_hang(self):
+        """The watchdog counts wall time without a step, not the length of
+        one dispatch: a lone process may keep the baton indefinitely."""
+        sim = Simulator()
+        sim.hang_timeout = 0.3
+        deadline = time.monotonic() + 3 * sim.hang_timeout
+
+        def body():
+            while time.monotonic() < deadline:
+                time.sleep(0.005)
+                sim.checkpoint(1)
+
+        proc = sim.spawn("p", body)
+        sim.run()
+        assert proc.error is None
+        assert sim.steps > 10
+
+    def test_step_limit_counts_in_place_steps(self):
+        sim = Simulator()
+        steps = []
+
+        def body():
+            while True:
+                steps.append(sim.steps)
+                sim.checkpoint(1)
+
+        sim.spawn("p", body)
+        with pytest.raises(SimDeadlock, match="steps"):
+            sim.run(max_steps=5)
+        assert steps == [1, 2, 3, 4, 5]
+
+
+#: sha256 of ``repr([(steps, sim_time, schedule_len, schedule_tail), ...])``
+#: over ``run_stress(StressConfig(seed=s))`` for seeds 0-19.  A change that
+#: moves the simulated schedule must update it and say why.
+STRESS_SCHEDULE_DIGEST = "f9bf86a9251387a5bde6bd040c6629dc3d341ca69b1293b5f0a34fb067e23a24"
+
+
+def test_stress_schedules_match_golden_digest():
+    rows = []
+    for seed in range(20):
+        result = run_stress(StressConfig(seed=seed))
+        rows.append((result.steps, result.sim_time, result.schedule_len, result.schedule_tail))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == STRESS_SCHEDULE_DIGEST
 
 
 class TestBlockingAndWaking:
