@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.granules import GranuleRef, GranuleSet
 from repro.core.policy import InsertionPolicy
@@ -119,88 +119,19 @@ TABLE3_REQUIRED_OBJ_MODE: dict = {
 
 @dataclass
 class OpContext:
-    """Per-operation lock bookkeeping for one transaction."""
+    """Per-operation lock bookkeeping for one transaction.
+
+    What the transaction holds is the lock manager's record alone
+    (:meth:`LockManager.holds_covering`); the context only counts."""
 
     txn_id: Hashable
-    #: every (mode, duration) granted during this operation, by resource
-    acquired: Dict[ResourceId, Set[Tuple[LockMode, LockDuration]]] = field(default_factory=dict)
-    #: grant order, for the Table 3 trace assertions
+    #: every lock granted during this operation, in grant order; it becomes
+    #: ``OpResult.locks_taken``, the index's per-mode lock statistics and
+    #: perfbench's simulated ``lock_op`` charge (a want the transaction
+    #: already holds is neither requested nor listed)
     taken: List[Want] = field(default_factory=list)
     waits: int = 0
     restarts: int = 0
-
-    def granted(self, want: Want) -> None:
-        """Record one granted lock."""
-        resource, mode, duration = want
-        self.acquired.setdefault(resource, set()).add((mode, duration))
-        self.taken.append(want)
-
-    def holds_covering(self, resource: ResourceId, mode: LockMode, duration: LockDuration) -> bool:
-        """Did this operation already take a lock subsuming the want?
-
-        A commit-duration lock subsumes a short-duration want of a covered
-        mode; short never subsumes commit.
-
-        ``acquired`` must reflect locks *actually still held*: a SHORT
-        entry whose lock was released out from under the operation (an
-        intervening ``end_operation`` on this transaction -- e.g. a
-        deadlock-retry wrapper reusing the context) must not subsume a
-        later SHORT want, or the operation proceeds unfenced.  The
-        protocol prunes dead SHORT entries on every restart and at
-        ``end_operation`` (see :meth:`prune_dead_shorts` /
-        :meth:`drop_short_acquired`) so this lookup never double-counts.
-        """
-        held = self.acquired.get(resource)
-        if not held:
-            return False
-        for held_mode, held_duration in held:
-            if not covers(held_mode, mode):
-                continue
-            if duration is COMMIT and held_duration is SHORT:
-                continue
-            return True
-        return False
-
-    def drop_short_acquired(self) -> None:
-        """Forget every SHORT entry: called when the operation's short
-        locks are released, so a reused context cannot double-count them."""
-        for resource, mode, duration in self.taken:  # every grant is in ``taken``
-            if duration is SHORT:
-                self._forget(resource, mode)
-
-    def prune_dead_shorts(self, lm: LockManager) -> None:
-        """Drop SHORT entries no longer backed by a held lock.
-
-        Restart-path audit: within one operation loop the protocol never
-        releases a short lock early, but the context can outlive a release
-        it did not perform (deadlock handling runs ``end_operation`` before
-        the abort decision; harness fault injection unwinds waits the same
-        way).  After such a release, ``acquired`` still lists the short
-        lock; any later iteration consulting :meth:`holds_covering` would
-        then skip re-acquiring the fence it no longer holds.  Re-validating
-        against the lock manager at every restart keeps the bookkeeping
-        honest.
-        """
-        shorts = [
-            (resource, mode)
-            for resource, held in self.acquired.items()
-            for mode, duration in held
-            if duration is SHORT
-        ]
-        if not shorts:
-            return
-        held_locks = lm.locks_of(self.txn_id)
-        for resource, mode in shorts:
-            if held_locks.get(resource, {}).get((mode, SHORT), 0) <= 0:
-                self._forget(resource, mode)
-
-    def _forget(self, resource: ResourceId, mode: LockMode) -> None:
-        """Drop one SHORT entry (if still recorded)."""
-        held = self.acquired.get(resource)
-        if held is not None:
-            held.discard((mode, SHORT))
-            if not held:
-                del self.acquired[resource]
 
 
 class GranuleLockProtocol:
@@ -250,15 +181,14 @@ class GranuleLockProtocol:
 
     def _acquire_conditional(self, ctx: OpContext, wants: Sequence[Want]) -> Optional[Want]:
         """Grab what is instantly grantable; return the first blocker."""
-        wants = self._ordered(wants)
-        for want in wants:
+        lm, txn_id = self.lm, ctx.txn_id
+        for want in self._ordered(wants):
             resource, mode, duration = want
-            if ctx.holds_covering(resource, mode, duration):
+            if lm.holds_covering(txn_id, resource, mode, duration):
                 continue
-            if self.lm.acquire(ctx.txn_id, resource, mode, duration, conditional=True):
-                ctx.granted(want)
-            else:
+            if not lm.acquire(txn_id, resource, mode, duration, conditional=True):
                 return want
+            ctx.taken.append(want)
         return None
 
     def _wait_for(self, ctx: OpContext, want: Want) -> None:
@@ -267,40 +197,32 @@ class GranuleLockProtocol:
         resource, mode, duration = want
         ctx.waits += 1
         self.lm.acquire(ctx.txn_id, resource, mode, duration, conditional=False)
-        ctx.granted(want)
+        ctx.taken.append(want)
 
     def _acquire_all(self, ctx: OpContext, wants: Sequence[Want]) -> None:
         """Take every want, waiting as needed (post-mutation locks only)."""
+        lm, txn_id = self.lm, ctx.txn_id
         for want in wants:
             resource, mode, duration = want
-            if ctx.holds_covering(resource, mode, duration):
+            if lm.holds_covering(txn_id, resource, mode, duration):
                 continue
-            if self.lm.acquire(ctx.txn_id, resource, mode, duration, conditional=True):
-                ctx.granted(want)
+            if lm.acquire(txn_id, resource, mode, duration, conditional=True):
+                ctx.taken.append(want)
             else:
                 self._wait_for(ctx, want)
 
     def end_operation(self, ctx: OpContext) -> None:
         """Release the operation's short-duration locks."""
         self.lm.end_operation(ctx.txn_id)
-        # Keep the context's bookkeeping in step with the release: a
-        # context reused after this call (retry wrappers) must not treat
-        # the released short locks as still held.
-        ctx.drop_short_acquired()
 
     def _restart(self, ctx: OpContext, blocked: Optional[Want] = None) -> None:
-        """One operation restart: re-validate bookkeeping, then yield.
+        """One operation restart (outside the latch): count it and yield.
 
-        Runs outside the latch.  Pruning here is the restart-path audit
-        for :meth:`OpContext.holds_covering`: any short lock released out
-        from under the operation (intervening ``end_operation`` during
-        deadlock handling or fault injection) leaves ``acquired`` before
-        the next iteration consults it.  ``blocked`` is the lock want
-        that forced the restart; its resource travels with the yield so
-        observers see *why* the operation is starting over.
+        ``blocked`` is the lock want that forced the restart; its resource
+        travels with the yield so observers see *why* the operation is
+        starting over.
         """
         ctx.restarts += 1
-        ctx.prune_dead_shorts(self.lm)
         self._yield("restart", ctx, blocked[0] if blocked is not None else None)
 
     def _yield(self, tag: str, ctx: OpContext, resource: Optional[ResourceId] = None) -> None:

@@ -34,7 +34,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.lock.modes import LockDuration, LockMode, compatible, supremum
+from repro.lock.modes import LockDuration, LockMode, compatible, covers, supremum
 from repro.lock.resource import ResourceId
 
 
@@ -410,6 +410,29 @@ class LockManager:
             head = self._heads.get(resource)
             held = head.granted.get(txn_id) if head else None
             return held.effective_for(LockDuration.COMMIT) if held else None
+
+    def holds_covering(
+        self, txn_id: TxnId, resource: ResourceId, mode: LockMode, duration: LockDuration
+    ) -> bool:
+        """Does one unit the transaction holds on ``resource`` already give
+        it ``mode`` for ``duration``?
+
+        A unit qualifies when its mode covers ``mode`` and it lasts long
+        enough: a commit unit serves either duration, a short unit only a
+        short want.  Units are judged one by one, not by their supremum:
+        S and IX held as two units do not cover a SIX want, because the
+        auditor's fence rule asks for a single SIX unit.
+        """
+        with self._mutex:
+            head = self._heads.get(resource)
+            held = head.granted.get(txn_id) if head else None
+            if held is None:
+                return False
+            short_ok = duration is LockDuration.SHORT
+            for held_mode, held_duration in held.counts:
+                if covers(held_mode, mode) and (short_ok or held_duration is LockDuration.COMMIT):
+                    return True
+            return False
 
     def holders(self, resource: ResourceId) -> Dict[TxnId, LockMode]:
         """Current holders and their effective modes."""

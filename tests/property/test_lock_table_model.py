@@ -8,7 +8,8 @@ queue, so the model decides every grant from the holders alone: granted
 exactly when no *other* transaction's effective mode conflicts.  After
 every step all inspection methods must agree with the model -- which
 pins the single conflict rule the grant path, queue processing, the
-waits-for graph and ``has_conflicting_holder`` share.
+waits-for graph and ``has_conflicting_holder`` share, and the per-unit
+rule by which ``holds_covering`` answers the protocol's "already held?".
 """
 
 from collections import Counter
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.lock import LockDuration, LockMode, ResourceId, compatible, supremum
 from repro.lock.manager import LockError, SingleThreadedWait
+from repro.lock.modes import covers
 from tests.conftest import make_lock_manager
 
 TXNS = ("t0", "t1", "t2")
@@ -60,6 +62,15 @@ class Model:
                 return True
         return False
 
+    def holds_covering(self, txn_id, res, wanted, dur) -> bool:
+        """Some single held unit covers the want and lasts long enough."""
+        return any(
+            r == res
+            and covers(held_mode, wanted)
+            and (held_duration is LockDuration.COMMIT or dur is LockDuration.SHORT)
+            for r, held_mode, held_duration in self.units(txn_id)
+        )
+
     def units(self, txn_id):
         return [
             (res, held_mode, held_duration)
@@ -94,6 +105,10 @@ def _check(lm, model: Model) -> None:
                 assert lm.has_conflicting_holder(res, wanted, ignore=(txn_id,)) == (
                     model.conflicts(res, wanted, (txn_id,))
                 )
+                for dur in DURATIONS:
+                    assert lm.holds_covering(txn_id, res, wanted, dur) == (
+                        model.holds_covering(txn_id, res, wanted, dur)
+                    )
     for txn_id in TXNS:
         assert lm.locks_of(txn_id) == {
             res: dict(counts) for res, counts in model.held[txn_id].items()

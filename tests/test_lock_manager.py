@@ -134,6 +134,57 @@ class TestRelease:
         assert lm.acquire("t2", R1, S, conditional=True)
 
 
+class TestHoldsCovering:
+    """``holds_covering``: the one answer to "is this want already held?"."""
+
+    def test_same_unit(self, lm):
+        assert not lm.holds_covering("t1", R1, IX, COMMIT)
+        lm.acquire("t1", R1, IX, COMMIT)
+        assert lm.holds_covering("t1", R1, IX, COMMIT)
+
+    def test_stronger_mode_covers_weaker(self, lm):
+        lm.acquire("t1", R1, SIX, COMMIT)
+        assert lm.holds_covering("t1", R1, IX, COMMIT)
+        assert lm.holds_covering("t1", R1, S, COMMIT)
+        assert lm.holds_covering("t1", R1, IS, COMMIT)
+        assert not lm.holds_covering("t1", R1, X, COMMIT)
+
+    def test_commit_covers_short_but_short_not_commit(self, lm):
+        lm.acquire("t1", R1, IX, COMMIT)
+        assert lm.holds_covering("t1", R1, IX, SHORT)
+        lm.acquire("t1", R2, IX, SHORT)
+        assert lm.holds_covering("t1", R2, IX, SHORT)
+        assert not lm.holds_covering("t1", R2, IX, COMMIT)
+
+    def test_different_resource_never_covers(self, lm):
+        lm.acquire("t1", R1, X, COMMIT)
+        assert not lm.holds_covering("t1", R2, S, SHORT)
+        assert not lm.holds_covering("t1", ResourceId.ext(1), S, SHORT)
+
+    def test_other_transactions_lock_never_covers(self, lm):
+        lm.acquire("t2", R1, S, COMMIT)
+        assert not lm.holds_covering("t1", R1, S, SHORT)
+        assert lm.holds_covering("t2", R1, S, SHORT)
+
+    def test_short_unit_released_by_end_operation_no_longer_covers(self, lm):
+        lm.acquire("t1", R1, SIX, SHORT)
+        assert lm.holds_covering("t1", R1, SIX, SHORT)
+        lm.end_operation("t1")
+        assert not lm.holds_covering("t1", R1, SIX, SHORT)
+        assert not lm.holds_covering("t1", R1, IX, SHORT)
+
+    def test_separate_s_and_ix_units_do_not_cover_six(self, lm):
+        # Their supremum is SIX (held_mode says so), but no single unit is:
+        # the §3.3/§3.5 fences must be one SIX unit.
+        lm.acquire("t1", R1, S, COMMIT)
+        lm.acquire("t1", R1, IX, COMMIT)
+        assert lm.held_mode("t1", R1) == SIX
+        assert not lm.holds_covering("t1", R1, SIX, SHORT)
+        assert not lm.holds_covering("t1", R1, SIX, COMMIT)
+        assert lm.holds_covering("t1", R1, S, SHORT)
+        assert lm.holds_covering("t1", R1, IX, SHORT)
+
+
 class TestIntrospection:
     def test_holders(self, lm):
         lm.acquire("t1", R1, S)

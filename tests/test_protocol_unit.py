@@ -1,4 +1,4 @@
-"""Unit tests for protocol internals (OpContext, want ordering, wants
+"""Unit tests for protocol internals (lock plumbing, want ordering, wants
 construction) -- the integration suite covers behaviour; these cover the
 small pure functions directly."""
 
@@ -8,6 +8,7 @@ from repro.geometry import Rect
 from repro.lock.manager import LockManager
 from repro.lock.modes import LockMode
 from repro.lock.resource import ResourceId
+from repro.obs.auditor import FlightRecorder
 from repro.rtree.tree import RTreeConfig
 
 from tests.conftest import TEN, rect
@@ -15,112 +16,96 @@ from tests.conftest import TEN, rect
 S, X, IX, SIX = LockMode.S, LockMode.X, LockMode.IX, LockMode.SIX
 
 
-class TestOpContext:
-    def test_holds_covering_same_lock(self):
-        ctx = OpContext("t")
-        want = (ResourceId.leaf(1), IX, COMMIT)
-        assert not ctx.holds_covering(*want)
-        ctx.granted(want)
-        assert ctx.holds_covering(*want)
-
-    def test_stronger_mode_covers_weaker(self):
-        ctx = OpContext("t")
-        ctx.granted((ResourceId.leaf(1), SIX, COMMIT))
-        assert ctx.holds_covering(ResourceId.leaf(1), IX, COMMIT)
-        assert ctx.holds_covering(ResourceId.leaf(1), S, COMMIT)
-        assert not ctx.holds_covering(ResourceId.leaf(1), X, COMMIT)
-
-    def test_commit_covers_short_but_not_vice_versa(self):
-        ctx = OpContext("t")
-        ctx.granted((ResourceId.leaf(1), IX, COMMIT))
-        assert ctx.holds_covering(ResourceId.leaf(1), IX, SHORT)
-        ctx2 = OpContext("t")
-        ctx2.granted((ResourceId.leaf(2), IX, SHORT))
-        assert not ctx2.holds_covering(ResourceId.leaf(2), IX, COMMIT)
-
-    def test_different_resource_never_covers(self):
-        ctx = OpContext("t")
-        ctx.granted((ResourceId.leaf(1), X, COMMIT))
-        assert not ctx.holds_covering(ResourceId.leaf(2), S, SHORT)
+def _protocol():
+    lm = LockManager()
+    index = PhantomProtectedRTree(RTreeConfig(max_entries=4, universe=TEN))
+    return lm, GranuleLockProtocol(index.tree, lm)
 
 
-class TestDeadShortPruning:
-    """The double-count bug: a SHORT entry in ``acquired`` whose lock was
-    already released must not subsume a later SHORT want -- otherwise the
-    operation proceeds without the fence it thinks it holds."""
+class TestShortFenceReacquired:
+    """A short fence released while its context lives on must be taken
+    again: the lock manager, not the context, says what is still held, so
+    an operation never proceeds without the fence it thinks it holds."""
 
     RES = ResourceId.leaf(7)
 
-    def test_stale_short_would_double_count(self):
-        # The raw repro: the bookkeeping says "held" after the lock died.
-        lm = LockManager()
+    def test_context_reused_after_end_operation(self):
+        # A retry wrapper reusing the context after protocol.end_operation.
+        lm, protocol = _protocol()
         ctx = OpContext("t")
         want = (self.RES, SIX, SHORT)
-        assert lm.acquire("t", self.RES, SIX, SHORT, conditional=True)
-        ctx.granted(want)
-        lm.end_operation("t")  # e.g. a retry wrapper finishing attempt #1
-        # Without pruning, holds_covering still subsumes the dead fence...
-        assert ctx.holds_covering(*want)
-        # ...and pruning removes exactly that entry.
-        ctx.prune_dead_shorts(lm)
-        assert not ctx.holds_covering(*want)
-        assert self.RES not in ctx.acquired
-
-    def test_prune_keeps_live_shorts_and_commit_locks(self):
-        lm = LockManager()
-        ctx = OpContext("t")
-        live_short = (self.RES, IX, SHORT)
-        commit_lock = (ResourceId.obj("o"), X, COMMIT)
-        assert lm.acquire("t", self.RES, IX, SHORT, conditional=True)
-        assert lm.acquire("t", ResourceId.obj("o"), X, COMMIT, conditional=True)
-        ctx.granted(live_short)
-        ctx.granted(commit_lock)
-        ctx.prune_dead_shorts(lm)
-        assert ctx.acquired == {self.RES: {(IX, SHORT)}, ResourceId.obj("o"): {(X, COMMIT)}}
-        lm.release_all("t")
-
-    def test_end_operation_drops_short_bookkeeping(self):
-        # Protocol-level: end_operation releases the short locks *and*
-        # forgets them, so a reused context re-acquires its fences.
-        lm = LockManager()
-        index = PhantomProtectedRTree(RTreeConfig(max_entries=4, universe=TEN))
-        protocol = GranuleLockProtocol(index.tree, lm)
-        ctx = OpContext("t")
-        want = (self.RES, SIX, SHORT)
-        assert lm.acquire("t", self.RES, SIX, SHORT, conditional=True)
-        ctx.granted(want)
+        assert protocol._acquire_conditional(ctx, [want]) is None
         protocol.end_operation(ctx)
-        assert not ctx.holds_covering(*want)
-        # A later conditional pass must re-acquire, not skip, the fence.
-        blocked = protocol._acquire_conditional(ctx, [want])
-        assert blocked is None
-        assert lm.locks_of("t").get(self.RES, {}).get((SIX, SHORT), 0) == 1
-        lm.release_all("t")
+        assert protocol._acquire_conditional(ctx, [want]) is None
+        assert ctx.taken == [want, want]
+        assert lm.locks_of("t") == {self.RES: {(SIX, SHORT): 1}}
 
-    def test_restart_path_prunes(self):
-        # _restart (called before every unconditional wait) re-validates
-        # the bookkeeping against the lock manager.
-        lm = LockManager()
-        index = PhantomProtectedRTree(RTreeConfig(max_entries=4, universe=TEN))
-        protocol = GranuleLockProtocol(index.tree, lm)
+    def test_restart_after_out_of_band_end_operation(self):
+        # Deadlock handling (or an injected fault) releases the operation's
+        # short locks before the protocol restarts it.
+        lm, protocol = _protocol()
         ctx = OpContext("t")
         want = (self.RES, IX, SHORT)
-        assert lm.acquire("t", self.RES, IX, SHORT, conditional=True)
-        ctx.granted(want)
+        assert protocol._acquire_conditional(ctx, [want]) is None
         lm.end_operation("t")
         protocol._restart(ctx)
         assert ctx.restarts == 1
-        assert not ctx.holds_covering(*want)
+        assert protocol._acquire_conditional(ctx, [want]) is None
+        assert ctx.taken == [want, want]
+        assert lm.locks_of("t") == {self.RES: {(IX, SHORT): 1}}
+
+    def test_covered_want_in_the_same_pass_is_skipped(self):
+        lm, protocol = _protocol()
+        ctx = OpContext("t")
+        six = (self.RES, SIX, COMMIT)
+        assert protocol._acquire_conditional(ctx, [six, (self.RES, S, SHORT)]) is None
+        assert ctx.taken == [six]
+        assert lm.locks_of("t") == {self.RES: {(SIX, COMMIT): 1}}
 
     def test_restart_fires_obs_sink(self):
-        lm = LockManager()
-        index = PhantomProtectedRTree(RTreeConfig(max_entries=4, universe=TEN))
-        protocol = GranuleLockProtocol(index.tree, lm)
+        _lm, protocol = _protocol()
         seen = []
         protocol.obs_sink = lambda event, **fields: seen.append((event, fields["tag"]))
         ctx = OpContext("t")
         protocol._restart(ctx)
         assert seen == [("op.phase", "restart")]
+
+
+class TestHeldLocksAreNotRequestedAgain:
+    """Locks an earlier operation of the same transaction left held cover
+    the later operation's wants: nothing is requested twice, and the
+    auditor still finds every Table 3 lock held where it looks."""
+
+    def test_repeated_scan_and_reinsert_after_delete(self):
+        index = PhantomProtectedRTree(RTreeConfig(max_entries=4, universe=TEN))
+        with index.transaction() as txn:
+            for i in range(12):
+                x, y = i % 4 * 2, i // 4 * 3
+                index.insert(txn, f"o{i}", rect(x, y, x + 1, y + 1))
+        recorder = FlightRecorder(capacity=4096).attach(index)
+        lm = index.lock_manager
+        predicate = rect(1, 1, 6, 6)
+        txn = index.begin()
+        first = index.read_scan(txn, predicate)
+        assert first.locks_taken
+        before = lm.total_acquisitions()
+        again = index.read_scan(txn, predicate)
+        assert again.locks_taken == []
+        assert lm.total_acquisitions() == before
+        assert again.oids == first.oids
+
+        target = rect(2, 3, 3, 4)  # o5's rectangle
+        index.delete(txn, "o5", target)
+        reinsert = index.insert(txn, "o5", target)
+        assert (ResourceId.obj("o5"), X, COMMIT) not in reinsert.locks_taken
+        requested = [
+            e for e in recorder.tracer.events
+            if e["type"] == "lock.acquire" and e["resource"] == "obj:o5"
+        ]
+        assert [(e["mode"], e["duration"]) for e in requested] == [("X", "commit")]
+        index.commit(txn)
+        recorder.detach()
+        assert recorder.ok, recorder.auditor.violations
 
 
 class TestWantOrdering:
