@@ -26,9 +26,9 @@ check the walk against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.geometry import Rect, Region
+from repro.geometry import Rect, Region, filter_overlapping
 from repro.lock.resource import ResourceId
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
@@ -52,15 +52,38 @@ class GranuleRef:
     page_id: PageId
 
 
+class _RefTable(Dict[PageId, GranuleRef]):
+    """Page id -> the one :class:`GranuleRef` of one granule kind, built
+    on first use.  A ref depends only on the page id and the kind, which
+    together are its key, so no tree change can make one stale: a page id
+    that came back at another level would be looked up in the other
+    kind's table (the pager never hands a freed id out again anyway)."""
+
+    def __init__(self, name: Callable[[int], ResourceId], is_leaf: bool) -> None:
+        super().__init__()
+        self.name = name
+        self.is_leaf = is_leaf
+
+    def __missing__(self, page_id: PageId) -> GranuleRef:
+        ref = self[page_id] = GranuleRef(self.name(page_id), self.is_leaf, page_id)
+        return ref
+
+
 class GranuleSet:
     """Geometric queries over the current granules of one R-tree.
 
     All traversals count I/O through the tree's pager, because lock
     acquisition traffic is exactly the overhead the paper measures.
+    Granule refs (and the lock names inside them) are built once per
+    page and kind and handed out again on every walk, so a scan builds
+    no objects per granule and lock-table lookups find their key by
+    identity.
     """
 
     def __init__(self, tree: RTree) -> None:
         self.tree = tree
+        self._leaf_refs = _RefTable(ResourceId.leaf, True)
+        self._ext_refs = _RefTable(ResourceId.ext, False)
 
     def external_region(self, node: Node) -> Region:
         """The external granule of a non-leaf node: ``T_s − ⋃ children``.
@@ -99,18 +122,25 @@ class GranuleSet:
         """The walk behind :meth:`overlapping`.  With ``geometry`` given,
         also append, per ref, the granule's pieces the predicate overlaps:
         a leaf's MBR, or an external granule's leftover pieces (all of
-        them, not only the first)."""
+        them, not only the first).
+
+        A rect predicate picks each node's touching entries with one
+        :func:`~repro.geometry.rect.filter_overlapping` call; a region
+        tests its parts entry by entry.  Refs come from the per-page
+        tables, not built here.
+        """
         refs: List[GranuleRef] = []
         parts = [(p, p.is_degenerate()) for p in _predicate_parts(predicate)]
         if not parts:
             return refs
         tree = self.tree
+        leaf_refs = self._leaf_refs
         root = tree.root()
         if root.is_leaf:
             # Degenerate single-node tree: the lone leaf granule is the
             # whole embedded space for locking purposes (there is no
             # non-leaf node to own an external granule).
-            refs.append(GranuleRef(ResourceId.leaf(root.page_id), True, root.page_id))
+            refs.append(leaf_refs[root.page_id])
             if geometry is not None:
                 geometry.append([tree.config.universe])
             return refs
@@ -121,7 +151,7 @@ class GranuleSet:
         while stack:
             node, space = stack.pop()
             if single is not None:
-                hits = [e for e in node.entries if e.rect.intersects(single)]
+                hits = filter_overlapping(node.entries, single)
             else:
                 hits = [
                     e for e in node.entries if any(e.rect.intersects(p) for p, _ in parts)
@@ -137,17 +167,15 @@ class GranuleSet:
                     if pieces is None:
                         break
             if found:
-                refs.append(GranuleRef(ResourceId.ext(node.page_id), False, node.page_id))
+                refs.append(self._ext_refs[node.page_id])
                 if geometry is not None:
                     geometry.append(pieces)  # type: ignore[arg-type]
-            for entry in hits:
-                if node.level == 1:
-                    refs.append(
-                        GranuleRef(ResourceId.leaf(entry.child_id), True, entry.child_id)  # type: ignore[union-attr]
-                    )
-                    if geometry is not None:
-                        geometry.append([entry.rect])
-                else:
+            if node.level == 1:
+                refs += [leaf_refs[entry.child_id] for entry in hits]  # type: ignore[union-attr]
+                if geometry is not None:
+                    geometry += [[entry.rect] for entry in hits]
+            else:
+                for entry in hits:
                     stack.append((tree.node(entry.child_id), entry.rect))  # type: ignore[union-attr]
         return refs
 

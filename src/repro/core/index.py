@@ -329,7 +329,8 @@ class PhantomProtectedRTree(TransactionalIndex):
         result = ScanResult()
         with self._operation(txn, result, "read_scan") as ctx:
             entries = self.protocol.execute_scan(ctx, predicate)
-            result.matches = [(e.oid, e.rect, self.payloads.get(e.oid)) for e in entries]
+            payload = self.payloads.get
+            result.matches = [(e.oid, e.rect, payload(e.oid)) for e in entries]
             txn.reads += 1
             if self.history is not None:  # result.oids is built only to be recorded
                 self._record(txn, OpKind.READ_SCAN, rect=predicate, result=result.oids)

@@ -166,6 +166,22 @@ def _workload(
     return preload, scripts
 
 
+def _traffic(index) -> Tuple[int, int, int, int, int]:
+    """Lock acquisitions, lock waits, deadlocks, predicate comparisons and
+    physical reads so far, the predicate table's included."""
+    lm = index.lock_manager
+    acquisitions, waits, deadlocks, comparisons = (
+        lm.total_acquisitions(), lm.wait_count, lm.deadlock_count, 0
+    )
+    if isinstance(index, PredicateLockIndex):
+        table = index.predicates
+        acquisitions += table.acquisitions
+        waits += table.wait_count
+        deadlocks += table.deadlock_count
+        comparisons = table.comparisons
+    return acquisitions, waits, deadlocks, comparisons, index.stats.physical_reads
+
+
 def run_workload(
     config: RunConfig,
     preload: Optional[List[Object]] = None,
@@ -186,6 +202,9 @@ def run_workload(
     with index.transaction("preload") as txn:
         for oid, rect in preload:
             index.insert(txn, oid, rect)
+    # Count the workload's own traffic: from after the preload to before
+    # vacuum, which runs its deferred deletes as extra (system) transactions.
+    before = _traffic(index)
 
     metrics = RunMetrics(index_kind=config.index_kind)
 
@@ -195,21 +214,17 @@ def run_workload(
     spawn_clients(sim, index, scripts, config.costs, config.max_retries, on_op=count_op)
     sim.run()
     sim.raise_process_errors()
-    # Snapshot the workload's own transaction counts before vacuum, which
-    # runs its deferred deletes as extra (system) transactions.
     metrics.committed = index.txn_manager.committed - 1  # exclude the preload txn
     metrics.aborted = index.txn_manager.aborted
+    (
+        metrics.lock_acquisitions,
+        metrics.lock_waits,
+        metrics.deadlocks,
+        metrics.predicate_comparisons,
+        metrics.physical_reads,
+    ) = (now - then for now, then in zip(_traffic(index), before))
     index.vacuum()
     metrics.sim_time = sim.clock
-    metrics.lock_acquisitions = index.lock_manager.total_acquisitions()
-    metrics.lock_waits = index.lock_manager.wait_count
-    metrics.deadlocks = index.lock_manager.deadlock_count
-    metrics.physical_reads = index.stats.physical_reads
-    if isinstance(index, PredicateLockIndex):
-        metrics.predicate_comparisons = index.predicates.comparisons
-        metrics.lock_acquisitions += index.predicates.acquisitions
-        metrics.lock_waits += index.predicates.wait_count
-        metrics.deadlocks += index.predicates.deadlock_count
 
     if check:
         metrics.phantom_anomalies = len(find_phantoms(history))

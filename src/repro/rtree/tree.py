@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.geometry import Rect
+from repro.geometry import Rect, filter_overlapping
 from repro.rtree.entry import ChildEntry, LeafEntry, ObjectId
 from repro.rtree.node import Entry, Node
 from repro.rtree.report import GrowthRecord, ReinsertRecord, SMOReport, SplitRecord
@@ -204,14 +204,12 @@ class RTree:
         stack = [self.root()]
         while stack:
             node = stack.pop()
+            hits = filter_overlapping(node.entries, rect)
             if node.is_leaf:
-                for entry in node.entries:
-                    if entry.rect.intersects(rect) and (include_tombstones or not entry.tombstone):
-                        results.append(entry)  # type: ignore[arg-type]
+                results += [e for e in hits if include_tombstones or not e.tombstone]  # type: ignore[union-attr]
                 continue
-            for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
+            for entry in hits:
+                stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
         return results
 
     def search_leaves(self, leaf_ids: Iterable[PageId], rect: Rect) -> List[LeafEntry]:
@@ -220,13 +218,14 @@ class RTree:
         The second half of a locked scan: the caller has already walked the
         non-leaf levels (the granule walk decides leaf overlap one level
         up) and passes the overlapping leaves, so only those pages are
-        read here.
+        read here.  Each leaf's entries go through one
+        :func:`~repro.geometry.rect.filter_overlapping` call, in leaf
+        order and entry order; tombstoned entries are dropped after it.
         """
         results: List[LeafEntry] = []
         for page_id in leaf_ids:
-            for entry in self.node(page_id).entries:
-                if not entry.tombstone and entry.rect.intersects(rect):  # type: ignore[union-attr]
-                    results.append(entry)  # type: ignore[arg-type]
+            hits = filter_overlapping(self.node(page_id).entries, rect)
+            results += [e for e in hits if not e.tombstone]  # type: ignore[union-attr]
         return results
 
     def search_point(self, point: Sequence[float]) -> List[LeafEntry]:
@@ -274,12 +273,11 @@ class RTree:
         stack = [root]
         while stack:
             node = stack.pop()
-            for entry in node.entries:
-                if not entry.rect.intersects(rect):
-                    continue
-                if node.level == 1:
-                    result.append(entry.child_id)  # type: ignore[union-attr]
-                else:
+            hits = filter_overlapping(node.entries, rect)
+            if node.level == 1:
+                result += [entry.child_id for entry in hits]  # type: ignore[union-attr]
+            else:
+                for entry in hits:
                     stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
         return result
 

@@ -1,6 +1,6 @@
 """Property: a one-traversal ReadScan / UpdateScan returns exactly the
 brute-force live set -- single-leaf roots, point predicates, tombstoned
-entries and 3-D trees included."""
+entries and 1-D, 3-D and 4-D trees included."""
 
 import random
 
@@ -23,7 +23,7 @@ def _box(rng: random.Random, dim: int, max_side: float) -> Rect:
 
 
 @given(
-    dim=st.sampled_from([2, 3]),
+    dim=st.sampled_from([1, 2, 3, 4]),
     fanout=st.integers(min_value=4, max_value=8),
     n_objects=st.integers(min_value=0, max_value=90),
     deleted_frac=st.sampled_from([0.0, 0.3, 0.7]),
@@ -31,6 +31,11 @@ def _box(rng: random.Random, dim: int, max_side: float) -> Rect:
 )
 @settings(max_examples=40, deadline=None)
 def test_scans_return_brute_force_live_set(dim, fanout, n_objects, deleted_frac, seed):
+    if dim == 4:
+        # UpdateScan's greedy cover subtracts regions whose pieces grow
+        # steeply with the dimension: a 4-D tree of 40 objects takes about
+        # 12 s per example, so 4-D trees stay small.
+        n_objects = min(n_objects, 24)
     rng = random.Random(seed)
     universe = Rect((0.0,) * dim, (1.0,) * dim)
     index = PhantomProtectedRTree(RTreeConfig(max_entries=fanout, universe=universe))

@@ -138,6 +138,17 @@ class TestRunner:
                 totals[kind] += metrics.throughput
         assert totals["dgl-on-growth"] > totals["tree-lock"]
 
+    @pytest.mark.parametrize("kind", ["dgl-on-growth", "predicate-lock", "tree-lock"])
+    def test_traffic_excludes_preload_and_vacuum(self, kind):
+        # No workload transactions: the preload's inserts and the closing
+        # vacuum take locks and read pages, but none of it is the workload's.
+        quick = dict(self.QUICK, n_workers=0, n_preload=200)
+        metrics = run_workload(RunConfig(index_kind=kind, seed=2, **quick))
+        assert metrics.operations == 0
+        assert metrics.lock_acquisitions == 0
+        assert metrics.physical_reads == 0
+        assert metrics.locks_per_op == 0.0
+
     def test_predicate_lock_pays_comparisons(self):
         metrics = run_workload(RunConfig(index_kind="predicate-lock", seed=4, **self.QUICK))
         assert metrics.predicate_comparisons > 0
