@@ -202,7 +202,7 @@ def test_blocked_writer_fraction(benchmark):
         for probe in probes:
             plan = ridx.tree.plan_insert(probe)
             wants = ridx.protocol._insert_wants(  # noqa: SLF001 - introspection
-                OpContext("probe"), plan, "probe", probe
+                OpContext(ridx.lock_manager, "probe"), plan, "probe", probe
             )
             if any(
                 ridx.lock_manager.has_conflicting_holder(resource, mode)

@@ -6,10 +6,13 @@ recording and payload store), and turns each operation into the template
 
     lock (subclass hook)  ->  apply under latch  ->  record
 
-Subclasses only decide *what to lock*.  Baselines perform deletes
-physically and immediately (they either hold an X on the whole tree, make
-no stability promises at all, or hold a predicate covering the object, so
-the deferred-delete machinery of §3.6 is unnecessary for them).
+Subclasses only decide *what to lock*: each hook takes the operation's
+:class:`~repro.core.protocol.OpContext` and requests its locks through
+it, so ``locks_taken`` lists the operation's own grants.  Baselines
+perform deletes physically and immediately (they either hold an X on the
+whole tree, make no stability promises at all, or hold a predicate
+covering the object, so the deferred-delete machinery of §3.6 is
+unnecessary for them).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Any, Callable, Optional
 from repro.concurrency.history import OpKind
 from repro.core.index import DeleteResult, InsertResult, ScanResult, SingleResult
 from repro.core.index import TransactionalIndex
+from repro.core.protocol import OpContext
 from repro.geometry import Rect
 from repro.rtree.entry import ObjectId
 from repro.rtree.tree import RTree, RTreeConfig
@@ -38,16 +42,16 @@ class BaselineIndex(TransactionalIndex):
 
     # -- subclass hooks (each may wait; called without the latch) ---------
 
-    def _lock_scan(self, txn: Transaction, predicate: Rect, for_update: bool) -> None:
+    def _lock_scan(self, ctx: OpContext, predicate: Rect, for_update: bool) -> None:
         raise NotImplementedError
 
-    def _lock_write(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
+    def _lock_write(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
         raise NotImplementedError
 
-    def _lock_read_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
+    def _lock_read_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
         raise NotImplementedError
 
-    def _lock_update_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
+    def _lock_update_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
         raise NotImplementedError
 
     # -- operations ------------------------------------------------------------
@@ -56,8 +60,8 @@ class BaselineIndex(TransactionalIndex):
         self, txn: Transaction, oid: ObjectId, rect: Rect, payload: Any = None
     ) -> InsertResult:
         result = InsertResult()
-        with self._operation(txn, result):
-            self._lock_write(txn, oid, rect)
+        with self._operation(txn, result, "insert", oid) as ctx:
+            self._lock_write(ctx, oid, rect)
             with self.latch:
                 report = self.tree.insert(oid, rect)
             result.report = report
@@ -70,8 +74,8 @@ class BaselineIndex(TransactionalIndex):
 
     def delete(self, txn: Transaction, oid: ObjectId, rect: Rect) -> DeleteResult:
         result = DeleteResult()
-        with self._operation(txn, result):
-            self._lock_write(txn, oid, rect)
+        with self._operation(txn, result, "delete", oid) as ctx:
+            self._lock_write(ctx, oid, rect)
             with self.latch:
                 located = self.tree.find_entry(oid, rect)
                 if located is not None:
@@ -86,8 +90,8 @@ class BaselineIndex(TransactionalIndex):
 
     def read_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> SingleResult:
         result = SingleResult()
-        with self._operation(txn, result):
-            self._lock_read_single(txn, oid, rect)
+        with self._operation(txn, result, "read_single", oid) as ctx:
+            self._lock_read_single(ctx, oid, rect)
             with self.latch:
                 located = self.tree.find_entry(oid, rect)
             if located is not None:
@@ -103,8 +107,8 @@ class BaselineIndex(TransactionalIndex):
 
     def read_scan(self, txn: Transaction, predicate: Rect) -> ScanResult:
         result = ScanResult()
-        with self._operation(txn, result):
-            self._lock_scan(txn, predicate, for_update=False)
+        with self._operation(txn, result, "read_scan") as ctx:
+            self._lock_scan(ctx, predicate, for_update=False)
             with self.latch:
                 entries = self.tree.search(predicate)
             result.matches = [(e.oid, e.rect, self.payloads.get(e.oid)) for e in entries]
@@ -116,8 +120,8 @@ class BaselineIndex(TransactionalIndex):
         self, txn: Transaction, oid: ObjectId, rect: Rect, payload: Any
     ) -> SingleResult:
         result = SingleResult()
-        with self._operation(txn, result):
-            self._lock_update_single(txn, oid, rect)
+        with self._operation(txn, result, "update_single", oid) as ctx:
+            self._lock_update_single(ctx, oid, rect)
             with self.latch:
                 located = self.tree.find_entry(oid, rect)
             if located is not None:
@@ -141,8 +145,8 @@ class BaselineIndex(TransactionalIndex):
         update: Callable[[ObjectId, Rect, Any], Any],
     ) -> ScanResult:
         result = ScanResult()
-        with self._operation(txn, result):
-            self._lock_scan(txn, predicate, for_update=True)
+        with self._operation(txn, result, "update_scan") as ctx:
+            self._lock_scan(ctx, predicate, for_update=True)
             with self.latch:
                 entries = self.tree.search(predicate)
             for e in entries:

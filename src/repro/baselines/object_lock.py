@@ -12,11 +12,11 @@ the phantom benchmarks use this index to show the anomaly occurring.
 from __future__ import annotations
 
 from repro.baselines.common import BaselineIndex
+from repro.core.protocol import OpContext
 from repro.geometry import Rect
 from repro.lock.modes import LockDuration, LockMode
 from repro.lock.resource import ResourceId
 from repro.rtree.entry import ObjectId
-from repro.txn import Transaction
 
 
 class ObjectLockIndex(BaselineIndex):
@@ -24,27 +24,21 @@ class ObjectLockIndex(BaselineIndex):
 
     name = "object-lock"
 
-    def _lock_scan(self, txn: Transaction, predicate: Rect, for_update: bool) -> None:
+    def _lock_scan(self, ctx: OpContext, predicate: Rect, for_update: bool) -> None:
         # Lock the current members of the range, and only them.
         with self.latch:
             entries = self.tree.search(predicate)
         mode = LockMode.X if for_update else LockMode.S
-        for e in entries:
-            self.lock_manager.acquire(
-                txn.txn_id, ResourceId.obj(e.oid), mode, LockDuration.COMMIT
-            )
+        ctx.acquire_all([(ResourceId.obj(e.oid), mode, LockDuration.COMMIT) for e in entries])
 
-    def _lock_write(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self.lock_manager.acquire(
-            txn.txn_id, ResourceId.obj(oid), LockMode.X, LockDuration.COMMIT
-        )
+    def _lock_object(self, ctx: OpContext, oid: ObjectId, mode: LockMode) -> None:
+        ctx.acquire_all([(ResourceId.obj(oid), mode, LockDuration.COMMIT)])
 
-    def _lock_read_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self.lock_manager.acquire(
-            txn.txn_id, ResourceId.obj(oid), LockMode.S, LockDuration.COMMIT
-        )
+    def _lock_write(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_object(ctx, oid, LockMode.X)
 
-    def _lock_update_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self.lock_manager.acquire(
-            txn.txn_id, ResourceId.obj(oid), LockMode.X, LockDuration.COMMIT
-        )
+    def _lock_read_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_object(ctx, oid, LockMode.S)
+
+    def _lock_update_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_object(ctx, oid, LockMode.X)

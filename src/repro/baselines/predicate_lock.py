@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
 from repro.baselines.common import BaselineIndex
+from repro.core.protocol import OpContext
 from repro.geometry import Rect
 from repro.lock.manager import (
     DeadlockError,
@@ -32,6 +33,7 @@ from repro.lock.manager import (
     WaitStrategy,
     _find_cycle,
 )
+from repro.lock.modes import LockDuration, LockMode
 from repro.rtree.entry import ObjectId
 from repro.txn import Transaction
 
@@ -212,20 +214,23 @@ class PredicateLockIndex(BaselineIndex):
         super().__init__(*args, **kwargs)
         self.predicates = predicate_table if predicate_table is not None else PredicateLockTable()
 
-    def _lock_scan(self, txn: Transaction, predicate: Rect, for_update: bool) -> None:
-        self.predicates.acquire(txn.txn_id, predicate, exclusive=for_update)
+    def _lock_predicate(self, ctx: OpContext, rect: Rect, exclusive: bool) -> None:
+        """Attach one predicate; the operation's record lists it with the
+        rectangle in place of a lock name."""
+        self.predicates.acquire(ctx.txn_id, rect, exclusive)
+        ctx.taken.append((rect, LockMode.X if exclusive else LockMode.S, LockDuration.COMMIT))
 
-    def _lock_write(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self.predicates.acquire(txn.txn_id, rect, exclusive=True)
+    def _lock_scan(self, ctx: OpContext, predicate: Rect, for_update: bool) -> None:
+        self._lock_predicate(ctx, predicate, exclusive=for_update)
 
-    def _lock_read_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self.predicates.acquire(txn.txn_id, rect, exclusive=False)
+    def _lock_write(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_predicate(ctx, rect, exclusive=True)
 
-    def _lock_update_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self.predicates.acquire(txn.txn_id, rect, exclusive=True)
+    def _lock_read_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_predicate(ctx, rect, exclusive=False)
+
+    def _lock_update_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_predicate(ctx, rect, exclusive=True)
 
     def _on_finish(self, txn: Transaction) -> None:
         self.predicates.release_all(txn.txn_id)
-
-    def _acquisition_count(self) -> int:
-        return self.lock_manager.total_acquisitions() + self.predicates.acquisitions

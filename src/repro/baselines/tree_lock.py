@@ -9,11 +9,11 @@ Phantom-free by brute force; the throughput benchmarks show the cost.
 from __future__ import annotations
 
 from repro.baselines.common import BaselineIndex
+from repro.core.protocol import OpContext
 from repro.geometry import Rect
 from repro.lock.modes import LockDuration, LockMode
 from repro.lock.resource import ResourceId
 from repro.rtree.entry import ObjectId
-from repro.txn import Transaction
 
 
 class TreeLockIndex(BaselineIndex):
@@ -25,19 +25,17 @@ class TreeLockIndex(BaselineIndex):
         super().__init__(*args, **kwargs)
         self._tree_resource = ResourceId.tree(id(self))
 
-    def _lock_tree(self, txn: Transaction, mode: LockMode) -> None:
-        self.lock_manager.acquire(
-            txn.txn_id, self._tree_resource, mode, LockDuration.COMMIT
-        )
+    def _lock_tree(self, ctx: OpContext, mode: LockMode) -> None:
+        ctx.acquire_all([(self._tree_resource, mode, LockDuration.COMMIT)])
 
-    def _lock_scan(self, txn: Transaction, predicate: Rect, for_update: bool) -> None:
-        self._lock_tree(txn, LockMode.X if for_update else LockMode.S)
+    def _lock_scan(self, ctx: OpContext, predicate: Rect, for_update: bool) -> None:
+        self._lock_tree(ctx, LockMode.X if for_update else LockMode.S)
 
-    def _lock_write(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self._lock_tree(txn, LockMode.X)
+    def _lock_write(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_tree(ctx, LockMode.X)
 
-    def _lock_read_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self._lock_tree(txn, LockMode.S)
+    def _lock_read_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_tree(ctx, LockMode.S)
 
-    def _lock_update_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> None:
-        self._lock_tree(txn, LockMode.X)
+    def _lock_update_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> None:
+        self._lock_tree(ctx, LockMode.X)

@@ -26,13 +26,13 @@ import threading
 from typing import Any, Dict, Optional
 
 from repro.btree.btree import BPlusTree, BTreeConfig, BTreeError
-from repro.btree.krl import KeyRangeLockManager
+from repro.btree.krl import KeyRangeLockManager, range_resource
 from repro.btree.zorder import DEFAULT_BITS, z_encode_rect, z_range_for_rect
 from repro.concurrency.history import OpKind
-from repro.core.index import DeleteResult, InsertResult, OpResult, ScanResult, SingleResult
+from repro.core.index import DeleteResult, InsertResult, ScanResult, SingleResult
 from repro.core.index import TransactionalIndex
+from repro.core.protocol import COMMIT, SHORT, OpContext, S, X
 from repro.geometry import Rect
-from repro.lock.modes import LockDuration, LockMode
 from repro.rtree.entry import ObjectId
 from repro.txn import Transaction
 from repro.workloads.datasets import UNIT
@@ -67,59 +67,33 @@ class ZOrderKRLIndex(TransactionalIndex):
         self.bits = bits
         self.max_object_extent = max_object_extent
         self.tree = BPlusTree(btree_config)
-        self.krl = KeyRangeLockManager(self.lock_manager, self.tree)
+        self.krl = KeyRangeLockManager(self.tree)
         #: oid -> (z key, rect); rect kept for post-filtering and undo
         self._directory: Dict[ObjectId, tuple] = {}
         self.latch = threading.RLock()
 
-    def _acquisition_count(self) -> int:
-        """Key-range locks taken so far (the §2 overhead metric)."""
-        return self.krl.range_locks
-
     # -- lock choreography (conditional under the latch, wait outside,
     #    recompute: the key set may move while a transaction sleeps) ------
 
-    def _acquire_endpoints(self, txn: Transaction, wants, acquired: set) -> Optional[tuple]:
-        """Conditionally lock (endpoint, mode, duration) triples; return
-        the first blocker (caller must wait outside the latch and retry).
-        ``acquired`` dedups across retries so lock counts stay honest."""
-        for want in wants:
-            if want in acquired:
-                continue
-            endpoint, mode, duration = want
-            if self.krl.acquire(txn.txn_id, endpoint, mode, duration, conditional=True):
-                acquired.add(want)
-            else:
-                return want
-        return None
-
-    def _wait_endpoint(self, txn: Transaction, blocked, acquired: set) -> None:
-        endpoint, mode, duration = blocked
-        self.krl.acquire(txn.txn_id, endpoint, mode, duration)
-        acquired.add(blocked)
-
-    def _lock_scan_interval(self, txn: Transaction, z_lo: int, z_hi: int) -> None:
+    def _lock_scan_interval(self, ctx: OpContext, z_lo: int, z_hi: int) -> None:
         """Commit S on every range endpoint covering [z_lo, z_hi], with
         the revalidate loop (endpoints recomputed after every wait)."""
-        acquired: set = set()
         while True:
             with self.latch:
                 wants = [
-                    (ep, LockMode.S, LockDuration.COMMIT)
-                    for ep in self.krl.scan_endpoints(z_lo, z_hi)
+                    (range_resource(ep), S, COMMIT) for ep in self.krl.scan_endpoints(z_lo, z_hi)
                 ]
-                blocked = self._acquire_endpoints(txn, wants, acquired)
+                blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     return
-            self._wait_endpoint(txn, blocked, acquired)
+            ctx.wait_for(blocked)
 
     # -- operations ------------------------------------------------------------
 
     def insert(self, txn: Transaction, oid: ObjectId, rect: Rect, payload: Any = None) -> InsertResult:
         result = InsertResult()
-        with self._operation(txn, result):
+        with self._operation(txn, result, "insert", oid) as ctx:
             key = z_encode_rect(rect, self.universe, self.bits)
-            acquired: set = set()
             while True:
                 with self.latch:
                     if oid in self._directory:
@@ -127,15 +101,15 @@ class ZOrderKRLIndex(TransactionalIndex):
                     # next-key locking: short X on the gap owner, commit X
                     # on the new entry's own range
                     wants = [
-                        (self.krl.next_endpoint(key, oid), LockMode.X, LockDuration.SHORT),
-                        ((key, oid), LockMode.X, LockDuration.COMMIT),
+                        (range_resource(self.krl.next_endpoint(key, oid)), X, SHORT),
+                        (range_resource((key, oid)), X, COMMIT),
                     ]
-                    blocked = self._acquire_endpoints(txn, wants, acquired)
+                    blocked = ctx.acquire_conditional(wants)
                     if blocked is None:
                         self.tree.insert(key, oid, rect)
                         self._directory[oid] = (key, rect)
                         break
-                self._wait_endpoint(txn, blocked, acquired)
+                ctx.wait_for(blocked)
             self.payloads[oid] = payload
             txn.log_undo(lambda: self._undo_insert(oid))
             txn.writes += 1
@@ -144,8 +118,7 @@ class ZOrderKRLIndex(TransactionalIndex):
 
     def delete(self, txn: Transaction, oid: ObjectId, rect: Rect) -> DeleteResult:
         result = DeleteResult()
-        with self._operation(txn, result):
-            acquired: set = set()
+        with self._operation(txn, result, "delete", oid) as ctx:
             while True:
                 with self.latch:
                     stored = self._directory.get(oid)
@@ -155,20 +128,20 @@ class ZOrderKRLIndex(TransactionalIndex):
                     # the deleted key's gap merges into the next range:
                     # commit X on both, so scans of the gap wait us out
                     wants = [
-                        ((key, oid), LockMode.X, LockDuration.COMMIT),
-                        (self.krl.next_endpoint(key, oid), LockMode.X, LockDuration.COMMIT),
+                        (range_resource((key, oid)), X, COMMIT),
+                        (range_resource(self.krl.next_endpoint(key, oid)), X, COMMIT),
                     ]
-                    blocked = self._acquire_endpoints(txn, wants, acquired)
+                    blocked = ctx.acquire_conditional(wants)
                     if blocked is None:
                         self.tree.delete(key, oid)
                         del self._directory[oid]
                         result.found = True
                         break
-                self._wait_endpoint(txn, blocked, acquired)
+                ctx.wait_for(blocked)
             if not result.found:
                 # absent object: cover the spot it would occupy, KRL-style
                 key = z_encode_rect(rect, self.universe, self.bits)
-                self._lock_scan_interval(txn, key, key)
+                self._lock_scan_interval(ctx, key, key)
                 return result
             old_payload = self.payloads.pop(oid, None)
             txn.log_undo(lambda: self._undo_delete(oid, key, stored_rect, old_payload))
@@ -178,11 +151,12 @@ class ZOrderKRLIndex(TransactionalIndex):
 
     def read_single(self, txn: Transaction, oid: ObjectId, rect: Rect) -> SingleResult:
         result = SingleResult()
-        with self._operation(txn, result):
+        with self._operation(txn, result, "read_single", oid) as ctx:
             stored = self._directory.get(oid)
             if stored is not None:
                 key, stored_rect = stored
-                self.krl.lock_read(txn.txn_id, key, oid)
+                # commit S on the entry's own range
+                ctx.acquire_all([(range_resource((key, oid)), S, COMMIT)])
                 result.found = True
                 result.rect = stored_rect
                 result.payload = self.payloads.get(oid)
@@ -195,32 +169,36 @@ class ZOrderKRLIndex(TransactionalIndex):
 
     def read_scan(self, txn: Transaction, predicate: Rect) -> ZOrderScanResult:
         result = ZOrderScanResult()
-        with self._operation(txn, result):
-            expanded = predicate.expanded(self.max_object_extent)
-            z_lo, z_hi = z_range_for_rect(expanded, self.universe, self.bits)
-            # lock the *entire* Z-interval: this is the §2 overhead
-            self._lock_scan_interval(txn, z_lo, z_hi)
-            with self.latch:
-                entries = self.tree.range_scan(z_lo, z_hi)
-            for _key, oid, rect in entries:
-                result.interval_entries += 1
-                if rect.intersects(predicate):
-                    result.matches.append((oid, rect, self.payloads.get(oid)))
-                else:
-                    result.false_locked += 1
+        with self._operation(txn, result, "read_scan") as ctx:
+            self._scan(ctx, predicate, result)
             txn.reads += 1
             self._record(txn, OpKind.READ_SCAN, rect=predicate, result=result.oids)
         return result
 
+    def _scan(self, ctx: OpContext, predicate: Rect, result: ZOrderScanResult) -> None:
+        """Lock the predicate's whole Z-interval, then collect its matches."""
+        expanded = predicate.expanded(self.max_object_extent)
+        z_lo, z_hi = z_range_for_rect(expanded, self.universe, self.bits)
+        # lock the *entire* Z-interval: this is the §2 overhead
+        self._lock_scan_interval(ctx, z_lo, z_hi)
+        with self.latch:
+            entries = self.tree.range_scan(z_lo, z_hi)
+        for _key, oid, rect in entries:
+            result.interval_entries += 1
+            if rect.intersects(predicate):
+                result.matches.append((oid, rect, self.payloads.get(oid)))
+            else:
+                result.false_locked += 1
+
     def update_single(self, txn: Transaction, oid: ObjectId, rect: Rect, payload: Any) -> SingleResult:
         result = SingleResult()
-        with self._operation(txn, result):
+        with self._operation(txn, result, "update_single", oid) as ctx:
             stored = self._directory.get(oid)
             if stored is not None:
                 key, stored_rect = stored
                 # payload-only change: X on the entry's own range suffices
                 # (no range merges or splits)
-                self.krl.acquire(txn.txn_id, (key, oid), LockMode.X, LockDuration.COMMIT)
+                ctx.acquire_all([(range_resource((key, oid)), X, COMMIT)])
                 old = self.payloads.get(oid)
                 self.payloads[oid] = payload
                 txn.log_undo(lambda: self.payloads.__setitem__(oid, old))
@@ -235,15 +213,18 @@ class ZOrderKRLIndex(TransactionalIndex):
         return result
 
     def update_scan(self, txn: Transaction, predicate: Rect, update) -> ZOrderScanResult:
-        result = self.read_scan(txn, predicate)
-        with self._operation(txn, OpResult()):
+        result = ZOrderScanResult()
+        with self._operation(txn, result, "update_scan") as ctx:
+            self._scan(ctx, predicate, result)
             for i, (oid, rect, old) in enumerate(result.matches):
                 key, _r = self._directory[oid]
-                self.krl.acquire(txn.txn_id, (key, oid), LockMode.X, LockDuration.COMMIT)
+                ctx.acquire_all([(range_resource((key, oid)), X, COMMIT)])
                 new = update(oid, rect, old)
                 self.payloads[oid] = new
                 txn.log_undo(lambda oid=oid, value=old: self.payloads.__setitem__(oid, value))
                 result.matches[i] = (oid, rect, new)
+            txn.reads += 1
+            txn.writes += len(result.matches)
             self._record(txn, OpKind.UPDATE_SCAN, rect=predicate, result=result.oids)
         return result
 

@@ -31,11 +31,6 @@ class BTreeConfig:
         if self.max_keys < 4:
             raise ValueError("max_keys must be at least 4")
 
-    @property
-    def min_keys(self) -> int:
-        """Half-full threshold (informational; deletion is lazy)."""
-        return self.max_keys // 2
-
 
 class _Node:
     __slots__ = ("page_id", "is_leaf", "keys", "children", "entries", "next_leaf")

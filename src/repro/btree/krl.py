@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import Hashable, List, Tuple
 
 from repro.btree.btree import BPlusTree
-from repro.lock.manager import LockManager
-from repro.lock.modes import LockDuration, LockMode
 from repro.lock.resource import Namespace, ResourceId
 
 #: lock name for the open range above the largest key present
@@ -35,25 +33,20 @@ def range_resource(endpoint) -> ResourceId:
 
 
 class KeyRangeLockManager:
-    """KRL lock choreography for one B+-tree.
+    """KRL range naming for one B+-tree.
 
-    All acquisition methods follow the conditional/revalidate discipline:
-    the caller computes the endpoints it needs *under its structure
-    latch*, requests them conditionally, and on a would-block releases the
-    latch, waits unconditionally, and recomputes -- the key set may have
-    moved while it slept.  (An earlier version iterated the live tree
-    across unconditional waits; a key inserted behind the iterator during
-    a park was never locked, and the phantom oracle caught the resulting
-    dirty read at full scale.)
+    Every method computes range endpoints and must run under the caller's
+    structure latch.  The caller requests the endpoints' locks
+    conditionally and, on a would-block, releases the latch, waits
+    unconditionally, and recomputes -- the key set may have moved while
+    it slept.  (An earlier version iterated the live tree across
+    unconditional waits; a key inserted behind the iterator during a park
+    was never locked, and the phantom oracle caught the resulting dirty
+    read at full scale.)
     """
 
-    def __init__(self, lock_manager: LockManager, tree: BPlusTree) -> None:
-        self.lm = lock_manager
+    def __init__(self, tree: BPlusTree) -> None:
         self.tree = tree
-        #: total range locks taken (the §2 overhead metric)
-        self.range_locks = 0
-
-    # -- endpoint computation (call under the caller's latch) --------------
 
     def scan_endpoints(self, lo: int, hi: int) -> List[object]:
         """Every range endpoint covering the key interval [lo, hi]: each
@@ -73,29 +66,3 @@ class KeyRangeLockManager:
             if (found_key, found_oid) > (key, oid):
                 return (found_key, found_oid)
         return INFINITY
-
-    # -- acquisition ---------------------------------------------------------
-
-    def acquire(
-        self,
-        txn_id: Hashable,
-        endpoint: object,
-        mode: LockMode,
-        duration: LockDuration,
-        conditional: bool = False,
-    ) -> bool:
-        """Lock one range endpoint; counts toward the overhead metric."""
-        granted = self.lm.acquire(
-            txn_id, range_resource(endpoint), mode, duration, conditional=conditional
-        )
-        if granted:
-            self.range_locks += 1
-        return granted
-
-    def lock_read(self, txn_id: Hashable, key: int, oid: Hashable) -> None:
-        """Commit S on one entry's own range (ReadSingle)."""
-        self.acquire(txn_id, (key, oid), LockMode.S, LockDuration.COMMIT)
-
-    def end_operation(self, txn_id: Hashable) -> None:
-        """Release the operation's short-duration (instant) locks."""
-        self.lm.end_operation(txn_id)

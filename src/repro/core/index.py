@@ -42,7 +42,10 @@ from repro.txn import Transaction, TransactionAborted, TransactionManager
 class OpResult:
     """Common accounting attached to every operation result."""
 
+    #: the locks this operation was granted (its ``OpContext.taken``)
     locks_taken: List[Want] = field(default_factory=list)
+    #: the lock-manager waits this operation made (the predicate table's
+    #: waits are not counted)
     lock_waits: int = 0
     restarts: int = 0
     physical_reads: int = 0
@@ -79,9 +82,10 @@ class SingleResult(OpResult):
 
 class TransactionalIndex:
     """The transaction shell of every transactional index: managers,
-    history, payloads, transactions and the deadlock-victim path.
-    Subclasses build ``self.tree`` (its pager supplies :attr:`stats`) and
-    the operations; the non-DGL ones wrap each in :meth:`_operation`."""
+    history, payloads, transactions, the deadlock-victim path and the
+    operation span.  Subclasses build ``self.tree`` (its pager supplies
+    :attr:`stats`) and the operations, each wrapped in :meth:`_operation`
+    and taking its locks through the :class:`OpContext` it yields."""
 
     #: observability tracer (:mod:`repro.obs`), installed by
     #: :func:`repro.obs.instrument.instrument_index`; ``None`` costs one
@@ -160,29 +164,65 @@ class TransactionalIndex:
         self._on_finish(txn)
         return TransactionAborted(txn.txn_id, reason)
 
-    def _acquisition_count(self) -> int:
-        """Lock acquisitions so far, by every transaction; an operation's
-        ``locks_taken`` is the delta across it."""
-        return self.lock_manager.total_acquisitions()
-
     @contextmanager
-    def _operation(self, txn: Transaction, result: OpResult) -> Iterator[None]:
+    def _operation(
+        self, txn: Transaction, result: OpResult, kind: str, oid: Optional[ObjectId] = None
+    ) -> Iterator[OpContext]:
+        """One operation span.  Single-object operations pass ``oid``: the
+        trace then carries it on ``op.begin`` and whether the operation
+        found its object on ``op.end`` (an insert finds the one it adds)."""
         if not txn.is_active:
             raise TransactionAborted(txn.txn_id, txn.abort_reason or "not active")
-        before_locks = self._acquisition_count()
-        before_waits = self.lock_manager.wait_count
+        ctx = OpContext(self.lock_manager, txn.txn_id)
         before_reads = self.stats.physical_reads
+        tracer = self.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.next_span_id()
+            tracer.emit(
+                "op.begin",
+                op=span,
+                txn=txn.txn_id,
+                kind=kind,
+                **({} if oid is None else {"oid": oid}),
+            )
+        ok = False
         try:
-            yield None
+            yield ctx
+            ok = True
         except DeadlockError as exc:
             raise self._abort_deadlock_victim(txn, exc)
         finally:
-            result.lock_waits = self.lock_manager.wait_count - before_waits
+            result.locks_taken = list(ctx.taken)
+            result.lock_waits = ctx.waits
+            result.restarts = ctx.restarts
             result.physical_reads = self.stats.physical_reads - before_reads
-            count = self._acquisition_count() - before_locks
-            result.locks_taken = [None] * max(0, count)  # type: ignore[list-item]
+            # Metrics-registry wiring: protocol-level lock traffic lands in
+            # the same stats bag the pager feeds, so ``snapshot()`` tells
+            # the whole story (the once-dead ``lock_waits`` in particular).
+            stats = self.stats
+            if ctx.waits:
+                stats.record_lock_wait(ctx.waits)
+            if ctx.taken:
+                stats.record_locks(m.value for _r, m, _d in ctx.taken)
+            if tracer is not None:
+                tracer.emit(
+                    "op.end",
+                    op=span,
+                    txn=txn.txn_id,
+                    kind=kind,
+                    ok=ok,
+                    waits=ctx.waits,
+                    restarts=ctx.restarts,
+                    changed_boundaries=getattr(result, "changed_boundaries", None),
+                    **({} if oid is None else {"found": getattr(result, "found", ok)}),
+                )
             if txn.is_active:
-                self.lock_manager.end_operation(txn.txn_id)
+                self._end_operation(ctx)
+
+    def _end_operation(self, ctx: OpContext) -> None:
+        """Release the operation's short-duration locks."""
+        self.lock_manager.end_operation(ctx.txn_id)
 
     def _record(self, txn: Transaction, kind: OpKind, **kw: Any) -> None:
         if self.history is not None:
@@ -403,7 +443,7 @@ class PhantomProtectedRTree(TransactionalIndex):
         txn = self.txn_manager.begin(name=f"vacuum-{oid}")
         if self.tracer is not None:
             self.tracer.emit("txn.begin", txn=txn.txn_id, name=txn.name)
-        ctx = OpContext(txn.txn_id)
+        ctx = OpContext(self.lock_manager, txn.txn_id)
         try:
             report = self.protocol.physical_delete(ctx, oid, rect)
             if report is not None:
@@ -427,61 +467,8 @@ class PhantomProtectedRTree(TransactionalIndex):
     # plumbing
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _operation(
-        self, txn: Transaction, result: OpResult, kind: str, oid: Optional[ObjectId] = None
-    ) -> Iterator[OpContext]:
-        """One operation span.  Single-object operations pass ``oid``: the
-        trace then carries it on ``op.begin`` and whether the operation
-        found its object on ``op.end`` (an insert finds the one it adds)."""
-        if not txn.is_active:
-            raise TransactionAborted(txn.txn_id, txn.abort_reason or "not active")
-        ctx = OpContext(txn.txn_id)
-        before_reads = self.stats.physical_reads
-        tracer = self.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.next_span_id()
-            tracer.emit(
-                "op.begin",
-                op=span,
-                txn=txn.txn_id,
-                kind=kind,
-                **({} if oid is None else {"oid": oid}),
-            )
-        ok = False
-        try:
-            yield ctx
-            ok = True
-        except DeadlockError as exc:
-            raise self._abort_deadlock_victim(txn, exc)
-        finally:
-            result.locks_taken = list(ctx.taken)
-            result.lock_waits = ctx.waits
-            result.restarts = ctx.restarts
-            result.physical_reads = self.stats.physical_reads - before_reads
-            # Metrics-registry wiring: protocol-level lock traffic lands in
-            # the same stats bag the pager feeds, so ``snapshot()`` tells
-            # the whole story (the once-dead ``lock_waits`` in particular).
-            stats = self.stats
-            if ctx.waits:
-                stats.record_lock_wait(ctx.waits)
-            if ctx.taken:
-                stats.record_locks(m.value for _r, m, _d in ctx.taken)
-            if tracer is not None:
-                tracer.emit(
-                    "op.end",
-                    op=span,
-                    txn=txn.txn_id,
-                    kind=kind,
-                    ok=ok,
-                    waits=ctx.waits,
-                    restarts=ctx.restarts,
-                    changed_boundaries=getattr(result, "changed_boundaries", None),
-                    **({} if oid is None else {"found": getattr(result, "found", ok)}),
-                )
-            if txn.is_active:
-                self.protocol.end_operation(ctx)
+    def _end_operation(self, ctx: OpContext) -> None:
+        self.protocol.end_operation(ctx)
 
     def _undo_insert(self, oid: ObjectId, rect: Rect) -> None:
         """Rolling back an insert: tombstone it now (the aborting

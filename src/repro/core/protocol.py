@@ -33,7 +33,7 @@ from repro.core.granules import GranuleRef, GranuleSet
 from repro.core.policy import InsertionPolicy
 from repro.geometry import Rect, Region
 from repro.lock.manager import LockManager
-from repro.lock.modes import LockDuration, LockMode, covers
+from repro.lock.modes import LockDuration, LockMode
 from repro.lock.resource import ResourceId
 from repro.rtree.entry import LeafEntry, ObjectId
 from repro.rtree.report import SMOReport
@@ -119,19 +119,65 @@ TABLE3_REQUIRED_OBJ_MODE: dict = {
 
 @dataclass
 class OpContext:
-    """Per-operation lock bookkeeping for one transaction.
+    """One operation's lock record, and the lock requests every index's
+    operations make through it.
 
-    What the transaction holds is the lock manager's record alone
-    (:meth:`LockManager.holds_covering`); the context only counts."""
+    Every index follows one skeleton: plan under its latch, request the
+    lock set with :meth:`acquire_conditional`, and on the first blocker
+    drop the latch, :meth:`wait_for` it, and plan again (the structure
+    may have moved while the transaction slept).  Locks taken after a
+    modification, or by an index that does not revalidate, go through
+    :meth:`acquire_all`.  What the transaction holds is the lock
+    manager's record alone (:meth:`LockManager.holds_covering`): a want
+    some held unit already covers is not requested.  The context lists
+    this operation's own grants and counts its waits."""
 
+    lm: LockManager
     txn_id: Hashable
     #: every lock granted during this operation, in grant order; it becomes
     #: ``OpResult.locks_taken``, the index's per-mode lock statistics and
-    #: perfbench's simulated ``lock_op`` charge (a want the transaction
-    #: already holds is neither requested nor listed)
+    #: the simulated ``lock_op`` charge of ``spawn_clients`` (a want the
+    #: transaction already holds is neither requested nor listed)
     taken: List[Want] = field(default_factory=list)
     waits: int = 0
     restarts: int = 0
+
+    def acquire_conditional(self, wants: Sequence[Want]) -> Optional[Want]:
+        """Grab what is instantly grantable; return the first blocker.
+
+        Wants are requested in one global order, (namespace, key): every
+        transaction requesting its lock set in the same total order
+        cannot deadlock with another doing the same -- waits still
+        happen, cycles mostly do not."""
+        lm, txn_id = self.lm, self.txn_id
+        for want in sorted(wants, key=lambda w: (w[0].namespace.value, repr(w[0].key))):
+            resource, mode, duration = want
+            if lm.holds_covering(txn_id, resource, mode, duration):
+                continue
+            if not lm.acquire(txn_id, resource, mode, duration, conditional=True):
+                return want
+            self.taken.append(want)
+        return None
+
+    def wait_for(self, want: Want) -> None:
+        """Unconditional acquisition (outside the latch).  May raise
+        :class:`~repro.lock.manager.DeadlockError`."""
+        resource, mode, duration = want
+        self.waits += 1
+        self.lm.acquire(self.txn_id, resource, mode, duration, conditional=False)
+        self.taken.append(want)
+
+    def acquire_all(self, wants: Sequence[Want]) -> None:
+        """Take every want in the given order, waiting as needed."""
+        lm, txn_id = self.lm, self.txn_id
+        for want in wants:
+            resource, mode, duration = want
+            if lm.holds_covering(txn_id, resource, mode, duration):
+                continue
+            if lm.acquire(txn_id, resource, mode, duration, conditional=True):
+                self.taken.append(want)
+            else:
+                self.wait_for(want)
 
 
 class GranuleLockProtocol:
@@ -165,51 +211,6 @@ class GranuleLockProtocol:
     # ------------------------------------------------------------------
     # lock plumbing
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _ordered(wants: Sequence[Want]) -> List[Want]:
-        """Global deterministic acquisition order (namespace, key).
-
-        Every transaction requesting its lock set in the same total order
-        cannot deadlock with another transaction doing the same -- waits
-        still happen, cycles mostly do not.  The paper's protocol does not
-        depend on acquisition order, so this is a free reliability win.
-        """
-        return sorted(
-            wants, key=lambda w: (w[0].namespace.value, repr(w[0].key))
-        )
-
-    def _acquire_conditional(self, ctx: OpContext, wants: Sequence[Want]) -> Optional[Want]:
-        """Grab what is instantly grantable; return the first blocker."""
-        lm, txn_id = self.lm, ctx.txn_id
-        for want in self._ordered(wants):
-            resource, mode, duration = want
-            if lm.holds_covering(txn_id, resource, mode, duration):
-                continue
-            if not lm.acquire(txn_id, resource, mode, duration, conditional=True):
-                return want
-            ctx.taken.append(want)
-        return None
-
-    def _wait_for(self, ctx: OpContext, want: Want) -> None:
-        """Unconditional acquisition (outside the latch).  May raise
-        :class:`~repro.lock.manager.DeadlockError`."""
-        resource, mode, duration = want
-        ctx.waits += 1
-        self.lm.acquire(ctx.txn_id, resource, mode, duration, conditional=False)
-        ctx.taken.append(want)
-
-    def _acquire_all(self, ctx: OpContext, wants: Sequence[Want]) -> None:
-        """Take every want, waiting as needed (post-mutation locks only)."""
-        lm, txn_id = self.lm, ctx.txn_id
-        for want in wants:
-            resource, mode, duration = want
-            if lm.holds_covering(txn_id, resource, mode, duration):
-                continue
-            if lm.acquire(txn_id, resource, mode, duration, conditional=True):
-                ctx.taken.append(want)
-            else:
-                self._wait_for(ctx, want)
 
     def end_operation(self, ctx: OpContext) -> None:
         """Release the operation's short-duration locks."""
@@ -293,11 +294,11 @@ class GranuleLockProtocol:
             with self.latch:
                 refs = self.granules.overlapping(predicate)
                 wants: List[Want] = [(ref.resource, S, COMMIT) for ref in refs]
-                blocked = self._acquire_conditional(ctx, wants)
+                blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     return then(refs)
             self._restart(ctx, blocked)
-            self._wait_for(ctx, blocked)
+            ctx.wait_for(blocked)
 
     def lock_scan(self, ctx: OpContext, predicate: Rect) -> List[GranuleRef]:
         """Commit-duration S locks on every granule overlapping the predicate."""
@@ -329,17 +330,17 @@ class GranuleLockProtocol:
                 cover, rest = self.granules.covering(predicate)
                 wants: List[Want] = [(ref.resource, SIX, COMMIT) for ref in cover]
                 wants += [(ref.resource, S, COMMIT) for ref in rest]
-                blocked = self._acquire_conditional(ctx, wants)
+                blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     matches = self._read_leaf_granules(cover + rest, predicate)
                     object_wants: List[Want] = [
                         (ResourceId.obj(e.oid), X, COMMIT) for e in matches
                     ]
-                    blocked = self._acquire_conditional(ctx, object_wants)
+                    blocked = ctx.acquire_conditional(object_wants)
                     if blocked is None:
                         return matches
             self._restart(ctx, blocked)
-            self._wait_for(ctx, blocked)
+            ctx.wait_for(blocked)
 
     # ------------------------------------------------------------------
     # ReadSingle / UpdateSingle
@@ -359,13 +360,13 @@ class GranuleLockProtocol:
                     return None
                 _leaf_id, entry = located
                 want: Want = (ResourceId.obj(oid), S, COMMIT)
-                blocked = self._acquire_conditional(ctx, [want])
+                blocked = ctx.acquire_conditional([want])
                 if blocked is None:
                     # The S lock excludes writers, so the tombstone state
                     # we see now is settled.
                     return None if entry.tombstone else entry
             self._restart(ctx, blocked)
-            self._wait_for(ctx, blocked)
+            ctx.wait_for(blocked)
 
     def lock_update_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> Optional[LeafEntry]:
         """Table 3: IX on the granule containing the object, X on the object."""
@@ -380,11 +381,11 @@ class GranuleLockProtocol:
                     (ResourceId.leaf(leaf_id), IX, COMMIT),
                     (ResourceId.obj(oid), X, COMMIT),
                 ]
-                blocked = self._acquire_conditional(ctx, wants)
+                blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     return None if entry.tombstone else entry
             self._restart(ctx, blocked)
-            self._wait_for(ctx, blocked)
+            ctx.wait_for(blocked)
 
     # ------------------------------------------------------------------
     # Insert (§3.3 -- §3.5)
@@ -418,7 +419,7 @@ class GranuleLockProtocol:
                         (ResourceId.leaf(leaf_id), IX, COMMIT),
                         (ResourceId.obj(oid), X, COMMIT),
                     ]
-                    blocked = self._acquire_conditional(ctx, wants)
+                    blocked = ctx.acquire_conditional(wants)
                     if blocked is None:
                         # The X lock settles the tombstone state: an active
                         # deleter would still hold its own X on the object.
@@ -431,7 +432,7 @@ class GranuleLockProtocol:
                 else:
                     plan = self.tree.plan_insert(rect)
                     wants = self._insert_wants(ctx, plan, oid, rect)
-                    blocked = self._acquire_conditional(ctx, wants)
+                    blocked = ctx.acquire_conditional(wants)
                     if blocked is None:
                         inherit_from = self._highest_inherited_ext(ctx, plan)
                         # The locate above found no entry for the object
@@ -442,12 +443,12 @@ class GranuleLockProtocol:
                         post = self._post_insert_wants(ctx, plan, report, inherit_from)
                         break
             self._restart(ctx, blocked)
-            self._wait_for(ctx, blocked)
+            ctx.wait_for(blocked)
         self._trace_report(ctx, report)
         # Post-mutation locks: taken outside the latch because they may
         # wait on transactions already active inside the granule.
         self._yield("insert.post", ctx)
-        self._acquire_all(ctx, post)
+        ctx.acquire_all(post)
         return plan, report
 
     def _insert_wants(
@@ -523,8 +524,7 @@ class GranuleLockProtocol:
         index into ``plan.path_ids`` of the highest such ancestor."""
         highest: Optional[int] = None
         for page_id in plan.changed_external_parents:
-            held = self.lm.held_commit_mode(ctx.txn_id, ResourceId.ext(page_id))
-            if held is not None and covers(held, S):
+            if self.lm.holds_covering(ctx.txn_id, ResourceId.ext(page_id), S, COMMIT):
                 idx = plan.path_ids.index(page_id)
                 if highest is None or idx < highest:
                     highest = idx
@@ -538,7 +538,8 @@ class GranuleLockProtocol:
         inherit_from: Optional[int],
     ) -> List[Want]:
         wants: List[Want] = []
-        held_s_on_leaf = self._held_commit_covers(ctx, ResourceId.leaf(plan.leaf_id), S)
+        holds = self.lm.holds_covering
+        held_s_on_leaf = holds(ctx.txn_id, ResourceId.leaf(plan.leaf_id), S, COMMIT)
 
         for split in report.splits:
             if split.level == 0:
@@ -557,7 +558,7 @@ class GranuleLockProtocol:
                 # A non-leaf split replaces ext(N) by ext(N1), ext(N2); a
                 # transaction holding S on ext(N) re-covers via both plus
                 # ext(parent) (§3.5).
-                if self._held_commit_covers(ctx, ResourceId.ext(split.old_id), S):
+                if holds(ctx.txn_id, ResourceId.ext(split.old_id), S, COMMIT):
                     parent = self.tree.node(split.left_id, count_io=False).parent_id
                     wants.append((ResourceId.ext(split.left_id), S, COMMIT))
                     wants.append((ResourceId.ext(split.right_id), S, COMMIT))
@@ -579,10 +580,6 @@ class GranuleLockProtocol:
                 if self.tree.pager.exists(plan.leaf_id):
                     wants.append((ResourceId.leaf(plan.leaf_id), S, COMMIT))
         return wants
-
-    def _held_commit_covers(self, ctx: OpContext, resource: ResourceId, mode: LockMode) -> bool:
-        held = self.lm.held_commit_mode(ctx.txn_id, resource)
-        return held is not None and covers(held, mode)
 
     # ------------------------------------------------------------------
     # Logical delete (§3.6)
@@ -610,7 +607,7 @@ class GranuleLockProtocol:
                         (ResourceId.leaf(leaf_id), IX, COMMIT),
                         (ResourceId.obj(oid), X, COMMIT),
                     ]
-                    blocked = self._acquire_conditional(ctx, wants)
+                    blocked = ctx.acquire_conditional(wants)
                     if blocked is None:
                         if entry.tombstone:
                             # Logically deleted by a committed transaction
@@ -626,7 +623,7 @@ class GranuleLockProtocol:
                     return None
             if blocked is not None:
                 self._restart(ctx, blocked)
-                self._wait_for(ctx, blocked)
+                ctx.wait_for(blocked)
                 continue
             # Object absent: take S on all granules overlapping it ("just
             # like a ReadScan with the object as the scan predicate"), then
@@ -671,12 +668,12 @@ class GranuleLockProtocol:
                 for orphan_rect in plan.orphan_rects:
                     for ref in self.granules.overlapping(orphan_rect):
                         wants.append((ref.resource, IX, SHORT))
-                blocked = self._acquire_conditional(ctx, wants)
+                blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     report = self.tree.delete(oid, rect, collect_orphans=True, plan=plan)
                     break
             self._restart(ctx, blocked)
-            self._wait_for(ctx, blocked)
+            ctx.wait_for(blocked)
         # Trace the main modification now: the orphan re-insertions below
         # trace their own sub-reports before they are merged in.
         self._trace_report(ctx, report)
@@ -730,13 +727,13 @@ class GranuleLockProtocol:
                         wants.append((ref.resource, IX, SHORT))
                 for page_id in plan.changed_external_parents:
                     wants.append((ResourceId.ext(page_id), SIX, SHORT))
-                blocked = self._acquire_conditional(ctx, wants)
+                blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     report = self.tree.reinsert_entry(entry, target_level, plan)
                     post = self._post_insert_wants(ctx, plan, report, None)
                     break
             self._restart(ctx, blocked)
-            self._wait_for(ctx, blocked)
+            ctx.wait_for(blocked)
         self._trace_report(ctx, report)
         if target_level > 0 and self.obs_sink is not None:
             # Child-entry re-insertions produce no ReinsertRecord (those
@@ -749,5 +746,5 @@ class GranuleLockProtocol:
                 target_level=target_level,
             )
         self._yield("reinsert.post", ctx)
-        self._acquire_all(ctx, post)
+        ctx.acquire_all(post)
         return report

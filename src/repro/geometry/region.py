@@ -82,8 +82,11 @@ class Region:
 
     The region lazily caches the bounding box of its parts; every
     predicate first tests against that box, so probes that miss the
-    region entirely (the common case on the lock-acquisition hot path)
-    never scan the parts or run rectangle subtraction.
+    region entirely never scan the parts or run rectangle subtraction.
+    (The lock path builds no region for a scan: the granule walk tests
+    the predicate against each external granule without materialising
+    it.  Regions serve an insert's growth area, UpdateScan's cover
+    remainder and the reference oracles.)
     """
 
     __slots__ = ("_parts", "_bbox")
@@ -192,15 +195,6 @@ class Region:
             if not parts:
                 break
         return Region(parts)
-
-    def clipped(self, rect: Rect) -> "Region":
-        """The portion of the region lying inside ``rect``."""
-        clipped = []
-        for p in self._parts:
-            inter = p.intersection(rect)
-            if inter is not None:
-                clipped.append(inter)
-        return Region(clipped)
 
     def __repr__(self) -> str:
         return f"Region({len(self._parts)} parts, area={self.area():.4g})"

@@ -19,12 +19,13 @@ only node splits carve them), the granular protocol collapses to:
 from __future__ import annotations
 
 import threading
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 from repro.concurrency.history import OpKind
 from repro.core.index import DeleteResult, InsertResult, ScanResult, SingleResult
 from repro.core.index import TransactionalIndex
 from repro.core.maintenance import DeferredDeleteQueue
+from repro.core.protocol import OpContext
 from repro.geometry import Rect
 from repro.kdbtree.tree import KDBConfig, KDBError, KDBTree
 from repro.lock.manager import DeadlockError
@@ -47,24 +48,11 @@ class KDBPhantomIndex(TransactionalIndex):
         self.deferred = DeferredDeleteQueue()
         self.latch = threading.RLock()
 
-    # -- lock plumbing --------------------------------------------------------
-
-    def _acquire_set(self, txn: Transaction, wants: List[Tuple[ResourceId, LockMode, LockDuration]]) -> Optional[Tuple]:
-        for want in sorted(wants, key=lambda w: repr(w[0].key)):
-            resource, mode, duration = want
-            if not self.lock_manager.acquire(txn.txn_id, resource, mode, duration, conditional=True):
-                return want
-        return None
-
-    def _wait(self, txn: Transaction, want: Tuple) -> None:
-        resource, mode, duration = want
-        self.lock_manager.acquire(txn.txn_id, resource, mode, duration, conditional=False)
-
     # -- operations --------------------------------------------------------------
 
     def insert(self, txn: Transaction, oid: Any, point: Point, payload: Any = None) -> InsertResult:
         result = InsertResult()
-        with self._operation(txn, result):
+        with self._operation(txn, result, "insert", oid) as ctx:
             while True:
                 with self.latch:
                     located = self.tree.find_entry(oid, point)
@@ -74,7 +62,7 @@ class KDBPhantomIndex(TransactionalIndex):
                             (ResourceId.leaf(leaf_id), IX, COMMIT),
                             (ResourceId.obj(oid), X, COMMIT),
                         ]
-                        blocked = self._acquire_set(txn, wants)
+                        blocked = ctx.acquire_conditional(wants)
                         if blocked is None:
                             if not entry.tombstone:
                                 raise KDBError(f"duplicate object id {oid!r}")
@@ -90,19 +78,17 @@ class KDBPhantomIndex(TransactionalIndex):
                                 wants.append((ResourceId.leaf(leaf_id), SIX, SHORT))
                         else:
                             wants.append((ResourceId.leaf(plan.leaf_id), IX, COMMIT))
-                        blocked = self._acquire_set(txn, wants)
+                        blocked = ctx.acquire_conditional(wants)
                         if blocked is None:
                             self.tree.insert(oid, point)
                             if plan.will_split:
                                 # the point's containing half: either a page we
                                 # hold SIX on, or a brand-new one -- never blocks
                                 home = self.tree.leaf_for(point)
-                                self.lock_manager.acquire(
-                                    txn.txn_id, ResourceId.leaf(home.page_id), IX, COMMIT
-                                )
+                                ctx.acquire_all([(ResourceId.leaf(home.page_id), IX, COMMIT)])
                             result.changed_boundaries = plan.will_split
                             break
-                self._wait(txn, blocked)
+                ctx.wait_for(blocked)
             self.payloads[oid] = payload
             txn.log_undo(lambda: self._undo_insert(oid, point))
             txn.writes += 1
@@ -111,7 +97,7 @@ class KDBPhantomIndex(TransactionalIndex):
 
     def delete(self, txn: Transaction, oid: Any, point: Point) -> DeleteResult:
         result = DeleteResult()
-        with self._operation(txn, result):
+        with self._operation(txn, result, "delete", oid) as ctx:
             scanned_absent = False
             while True:
                 blocked = None
@@ -123,7 +109,7 @@ class KDBPhantomIndex(TransactionalIndex):
                             (ResourceId.leaf(leaf_id), IX, COMMIT),
                             (ResourceId.obj(oid), X, COMMIT),
                         ]
-                        blocked = self._acquire_set(txn, wants)
+                        blocked = ctx.acquire_conditional(wants)
                         if blocked is None:
                             if entry.tombstone:
                                 located = None
@@ -134,10 +120,10 @@ class KDBPhantomIndex(TransactionalIndex):
                     if located is None and scanned_absent:
                         break
                 if blocked is not None:
-                    self._wait(txn, blocked)
+                    ctx.wait_for(blocked)
                     continue
                 # absent object: S on the region that would contain it
-                self._lock_scan(txn, Rect.from_point(point))
+                self._lock_scan(ctx, Rect.from_point(point))
                 scanned_absent = True
             if result.found:
                 txn.log_undo(lambda: self.tree.set_tombstone(oid, point, False))
@@ -148,7 +134,7 @@ class KDBPhantomIndex(TransactionalIndex):
 
     def read_single(self, txn: Transaction, oid: Any, point: Point) -> SingleResult:
         result = SingleResult()
-        with self._operation(txn, result):
+        with self._operation(txn, result, "read_single", oid) as ctx:
             while True:
                 with self.latch:
                     located = self.tree.find_entry(oid, point)
@@ -156,14 +142,14 @@ class KDBPhantomIndex(TransactionalIndex):
                         break
                     _leaf_id, entry = located
                     want = (ResourceId.obj(oid), S, COMMIT)
-                    blocked = self._acquire_set(txn, [want])
+                    blocked = ctx.acquire_conditional([want])
                     if blocked is None:
                         if not entry.tombstone:
                             result.found = True
                             result.rect = Rect.from_point(entry.point)
                             result.payload = self.payloads.get(oid)
                         break
-                self._wait(txn, blocked)
+                ctx.wait_for(blocked)
             txn.reads += 1
             self._record(
                 txn, OpKind.READ_SINGLE, oid=oid, rect=Rect.from_point(point),
@@ -173,8 +159,8 @@ class KDBPhantomIndex(TransactionalIndex):
 
     def read_scan(self, txn: Transaction, predicate: Rect) -> ScanResult:
         result = ScanResult()
-        with self._operation(txn, result):
-            self._lock_scan(txn, predicate)
+        with self._operation(txn, result, "read_scan") as ctx:
+            self._lock_scan(ctx, predicate)
             with self.latch:
                 entries = [e for e in self.tree.search(predicate) if not e.tombstone]
             result.matches = [
@@ -186,7 +172,7 @@ class KDBPhantomIndex(TransactionalIndex):
 
     def update_single(self, txn: Transaction, oid: Any, point: Point, payload: Any) -> SingleResult:
         result = SingleResult()
-        with self._operation(txn, result):
+        with self._operation(txn, result, "update_single", oid) as ctx:
             while True:
                 with self.latch:
                     located = self.tree.find_entry(oid, point)
@@ -197,7 +183,7 @@ class KDBPhantomIndex(TransactionalIndex):
                         (ResourceId.leaf(leaf_id), IX, COMMIT),
                         (ResourceId.obj(oid), X, COMMIT),
                     ]
-                    blocked = self._acquire_set(txn, wants)
+                    blocked = ctx.acquire_conditional(wants)
                     if blocked is None:
                         if not entry.tombstone:
                             old = self.payloads.get(oid)
@@ -208,22 +194,22 @@ class KDBPhantomIndex(TransactionalIndex):
                             result.payload = payload
                             txn.writes += 1
                         break
-                self._wait(txn, blocked)
+                ctx.wait_for(blocked)
             self._record(
                 txn, OpKind.UPDATE_SINGLE, oid=oid, rect=Rect.from_point(point),
                 result=(oid,) if result.found else (),
             )
         return result
 
-    def _lock_scan(self, txn: Transaction, predicate: Rect) -> None:
+    def _lock_scan(self, ctx: OpContext, predicate: Rect) -> None:
         while True:
             with self.latch:
                 leaf_ids = self.tree.overlapping_leaf_ids(predicate)
                 wants = [(ResourceId.leaf(lid), S, COMMIT) for lid in leaf_ids]
-                blocked = self._acquire_set(txn, wants)
+                blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     return
-            self._wait(txn, blocked)
+            ctx.wait_for(blocked)
 
     # -- maintenance --------------------------------------------------------------
 
@@ -231,6 +217,7 @@ class KDBPhantomIndex(TransactionalIndex):
         """§3.7 for space partitioning: a short IX on the region and the
         object X -- nothing else, because regions never move."""
         txn = self.txn_manager.begin(name=f"kdb-vacuum-{oid}")
+        ctx = OpContext(self.lock_manager, txn.txn_id)
         try:
             while True:
                 with self.latch:
@@ -242,12 +229,12 @@ class KDBPhantomIndex(TransactionalIndex):
                         (ResourceId.leaf(leaf_id), IX, SHORT),
                         (ResourceId.obj(oid), X, COMMIT),
                     ]
-                    blocked = self._acquire_set(txn, wants)
+                    blocked = ctx.acquire_conditional(wants)
                     if blocked is None:
                         self.tree.delete(oid, point)
                         self.payloads.pop(oid, None)
                         break
-                self._wait(txn, blocked)
+                ctx.wait_for(blocked)
         except DeadlockError as exc:
             raise self.txn_manager.abort_and_raise(txn, f"deadlock: {exc}")
         finally:

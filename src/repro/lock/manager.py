@@ -405,7 +405,10 @@ class LockManager:
             return held.effective() if held else None
 
     def held_commit_mode(self, txn_id: TxnId, resource: ResourceId) -> Optional[LockMode]:
-        """Effective mode counting only commit-duration holds."""
+        """Effective mode counting only commit-duration holds.
+
+        The protocol asks :meth:`holds_covering` instead; this stays for
+        tests and because perfbench's layer profiler wraps it by name."""
         with self._mutex:
             head = self._heads.get(resource)
             held = head.granted.get(txn_id) if head else None

@@ -174,13 +174,6 @@ class EventTracer:
         """Attach a streaming consumer (see :attr:`sinks`)."""
         self.sinks.append(sink)
 
-    def remove_sink(self, sink: Callable[[Dict[str, object]], None]) -> None:
-        """Detach a previously attached consumer (no-op if absent)."""
-        try:
-            self.sinks.remove(sink)
-        except ValueError:
-            pass
-
     def next_span_id(self) -> int:
         """A fresh id for correlating ``op.begin``/``op.end`` pairs."""
         return next(self._seq)

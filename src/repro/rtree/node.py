@@ -60,11 +60,6 @@ class Node:
                 return entry  # type: ignore[return-value]
         return None
 
-    def live_entries(self) -> List[LeafEntry]:
-        """Data entries that are not tombstoned (leaf nodes only)."""
-        assert self.is_leaf
-        return [e for e in self.entries if not e.tombstone]  # type: ignore[union-attr]
-
     # -- index-side helpers ----------------------------------------------------
 
     def child_entry(self, child_id: PageId) -> Optional[ChildEntry]:
@@ -74,10 +69,6 @@ class Node:
             if entry.child_id == child_id:  # type: ignore[union-attr]
                 return entry  # type: ignore[return-value]
         return None
-
-    def child_ids(self) -> List[PageId]:
-        assert not self.is_leaf
-        return [e.child_id for e in self.entries]  # type: ignore[union-attr]
 
     def child_rects(self) -> Sequence[Rect]:
         assert not self.is_leaf

@@ -3,7 +3,9 @@
 :func:`spawn_clients` starts one simulated process per worker; each
 replays its :class:`~repro.workloads.operations.TxnScript` list against an
 index (begin, the script's operations, commit), charging every operation
-its :class:`~repro.concurrency.simulator.CostModel` cost.  A deadlock
+its :class:`~repro.concurrency.simulator.CostModel` cost: ``lock_op``
+per lock in the operation's own ``locks_taken`` and ``predicate_check``
+per predicate comparison made while it ran.  A deadlock
 victim comes back already rolled back; a fault (``InjectedAbort`` at a
 yield point, ``ProcessCancelled`` out of a parked wait) leaves the
 transaction active, so the driver aborts it.  Either way the client backs
@@ -17,7 +19,7 @@ runner and the stress harness both drive their indexes through this loop.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.baselines.predicate_lock import PredicateLockIndex
 from repro.concurrency.simulator import CostModel, InjectedAbort, ProcessCancelled
@@ -42,14 +44,9 @@ def _apply(index, txn, op: OpCall):
     raise ValueError(f"unknown op kind {op.kind!r}")
 
 
-def _traffic(index) -> Tuple[int, int]:
-    """Lock acquisitions and predicate comparisons so far, by every transaction."""
-    locks = index.lock_manager.total_acquisitions()
-    comparisons = 0
-    if isinstance(index, PredicateLockIndex):
-        locks += index.predicates.acquisitions
-        comparisons = index.predicates.comparisons
-    return locks, comparisons
+def _comparisons(index) -> int:
+    """Predicate comparisons so far, by every transaction."""
+    return index.predicates.comparisons if isinstance(index, PredicateLockIndex) else 0
 
 
 def spawn_clients(
@@ -71,14 +68,13 @@ def spawn_clients(
                     txn = index.begin(f"{script.name}~{attempt}" if attempt else script.name)
                     try:
                         for op in script.ops:
-                            locks_before, cmps_before = _traffic(index)
+                            cmps_before = _comparisons(index)
                             result = _apply(index, txn, op)
-                            locks_after, cmps_after = _traffic(index)
                             cost = (
                                 result.physical_reads * costs.io
                                 + costs.cpu
-                                + (locks_after - locks_before) * costs.lock_op
-                                + (cmps_after - cmps_before) * costs.predicate_check
+                                + len(result.locks_taken) * costs.lock_op
+                                + (_comparisons(index) - cmps_before) * costs.predicate_check
                                 + op.think
                             )
                             if on_op is not None:

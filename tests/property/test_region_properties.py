@@ -73,10 +73,3 @@ def test_covers_iff_no_leftover(minuend, subtrahends):
     region = Region(list(subtrahends))
     leftover = subtract_rects(minuend, subtrahends)
     assert region.covers(minuend) == (not leftover)
-
-
-@given(rects(), rect_lists, rects())
-def test_clipped_stays_inside_clip(minuend, subtrahends, clip):
-    region = Region(subtract_rects(minuend, subtrahends)).clipped(clip)
-    for part in region.parts:
-        assert clip.contains(part)

@@ -8,7 +8,6 @@ four index classes.
 """
 
 import zlib
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +19,8 @@ from repro.core.index import OpResult
 from repro.geometry import Rect
 from repro.kdbtree import KDBPhantomIndex
 from repro.lock.manager import DeadlockError, LockManager
+from repro.lock.modes import LockDuration, LockMode
+from repro.lock.resource import ResourceId
 from repro.txn import TransactionAborted, TransactionManager
 from repro.txn.transaction import TxnState
 from repro.workloads.clients import spawn_clients
@@ -42,8 +43,6 @@ class ScriptedIndex:
         self.faults = dict(faults or {})
         self.reads = reads
         self.locks = locks
-        self.acquired = 0
-        self.lock_manager = SimpleNamespace(total_acquisitions=lambda: self.acquired)
         self.tm = TransactionManager()
         self.log = []
 
@@ -65,8 +64,8 @@ class ScriptedIndex:
             self.tm.abort(txn, "deadlock victim")  # the index rolls back victims
         if fault is not None:
             raise fault
-        self.acquired += self.locks
-        return OpResult(physical_reads=self.reads)
+        want = (ResourceId.leaf(1), LockMode.S, LockDuration.COMMIT)
+        return OpResult(locks_taken=[want] * self.locks, physical_reads=self.reads)
 
 
 def scan(think=0.0):
@@ -157,19 +156,19 @@ RECT = Rect((0.1, 0.1), (0.2, 0.2))
 
 
 def _dgl(history):
-    return PhantomProtectedRTree(history=history), RECT, ("insert",)
+    return PhantomProtectedRTree(history=history), RECT
 
 
 def _predicate(history):
-    return PredicateLockIndex(history=history), RECT, ()
+    return PredicateLockIndex(history=history), RECT
 
 
 def _zorder(history):
-    return ZOrderKRLIndex(history=history), RECT, ()
+    return ZOrderKRLIndex(history=history), RECT
 
 
 def _kdb(history):
-    return KDBPhantomIndex(history=history), (0.15, 0.15), ()
+    return KDBPhantomIndex(history=history), (0.15, 0.15)
 
 
 INDEXES = pytest.mark.parametrize("make", [_dgl, _predicate, _zorder, _kdb],
@@ -184,7 +183,7 @@ class TestTransactionShell:
     @INDEXES
     def test_transaction_commits_on_success(self, make):
         history = History()
-        index, geom, _ = make(history)
+        index, geom = make(history)
         with index.transaction("ok") as txn:
             index.insert(txn, "a", geom)
         assert txn.state is TxnState.COMMITTED
@@ -195,7 +194,7 @@ class TestTransactionShell:
     @INDEXES
     def test_transaction_aborts_on_exception(self, make):
         history = History()
-        index, geom, _ = make(history)
+        index, geom = make(history)
         with pytest.raises(RuntimeError):
             with index.transaction("boom") as txn:
                 index.insert(txn, "a", geom)
@@ -209,11 +208,11 @@ class TestTransactionShell:
     @INDEXES
     def test_deadlock_in_operation_aborts_the_transaction(self, make):
         history = History()
-        index, geom, span_args = make(history)
+        index, geom = make(history)
         txn = index.begin("victim")
         index.read_scan(txn, Rect((0.0, 0.0), (0.5, 0.5)))
         with pytest.raises(TransactionAborted, match="deadlock victim"):
-            with index._operation(txn, OpResult(), *span_args):
+            with index._operation(txn, OpResult(), "insert"):
                 raise DeadlockError(txn.txn_id, (txn.txn_id, 99))
         assert txn.state is TxnState.ABORTED
         assert _kinds(history, txn)[-1] is OpKind.ABORT

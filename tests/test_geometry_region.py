@@ -67,11 +67,6 @@ class TestRegion:
         two = Region([Rect((0, 0), (1, 2)), Rect((1, 0), (2, 2))])
         assert two.covers(Rect((0.5, 0.5), (1.5, 1.5)))
 
-    def test_clipped(self):
-        region = Region([Rect((0, 0), (2, 2)), Rect((4, 4), (6, 6))])
-        clipped = region.clipped(Rect((1, 1), (5, 5)))
-        assert clipped.area() == pytest.approx(1 + 1)
-
     def test_subtract_chain(self):
         region = Region.from_rect(Rect((0, 0), (3, 3)))
         region = region.subtract([Rect((0, 0), (1, 3))]).subtract([Rect((1, 0), (3, 1))])

@@ -32,11 +32,11 @@ class TestShortFenceReacquired:
     def test_context_reused_after_end_operation(self):
         # A retry wrapper reusing the context after protocol.end_operation.
         lm, protocol = _protocol()
-        ctx = OpContext("t")
+        ctx = OpContext(lm, "t")
         want = (self.RES, SIX, SHORT)
-        assert protocol._acquire_conditional(ctx, [want]) is None
+        assert ctx.acquire_conditional([want]) is None
         protocol.end_operation(ctx)
-        assert protocol._acquire_conditional(ctx, [want]) is None
+        assert ctx.acquire_conditional([want]) is None
         assert ctx.taken == [want, want]
         assert lm.locks_of("t") == {self.RES: {(SIX, SHORT): 1}}
 
@@ -44,29 +44,29 @@ class TestShortFenceReacquired:
         # Deadlock handling (or an injected fault) releases the operation's
         # short locks before the protocol restarts it.
         lm, protocol = _protocol()
-        ctx = OpContext("t")
+        ctx = OpContext(lm, "t")
         want = (self.RES, IX, SHORT)
-        assert protocol._acquire_conditional(ctx, [want]) is None
+        assert ctx.acquire_conditional([want]) is None
         lm.end_operation("t")
         protocol._restart(ctx)
         assert ctx.restarts == 1
-        assert protocol._acquire_conditional(ctx, [want]) is None
+        assert ctx.acquire_conditional([want]) is None
         assert ctx.taken == [want, want]
         assert lm.locks_of("t") == {self.RES: {(IX, SHORT): 1}}
 
     def test_covered_want_in_the_same_pass_is_skipped(self):
         lm, protocol = _protocol()
-        ctx = OpContext("t")
+        ctx = OpContext(lm, "t")
         six = (self.RES, SIX, COMMIT)
-        assert protocol._acquire_conditional(ctx, [six, (self.RES, S, SHORT)]) is None
+        assert ctx.acquire_conditional([six, (self.RES, S, SHORT)]) is None
         assert ctx.taken == [six]
         assert lm.locks_of("t") == {self.RES: {(SIX, COMMIT): 1}}
 
     def test_restart_fires_obs_sink(self):
-        _lm, protocol = _protocol()
+        lm, protocol = _protocol()
         seen = []
         protocol.obs_sink = lambda event, **fields: seen.append((event, fields["tag"]))
-        ctx = OpContext("t")
+        ctx = OpContext(lm, "t")
         protocol._restart(ctx)
         assert seen == [("op.phase", "restart")]
 
@@ -110,23 +110,25 @@ class TestHeldLocksAreNotRequestedAgain:
 
 class TestWantOrdering:
     def test_sorted_by_namespace_then_key(self):
+        ctx = OpContext(LockManager(), "t")
         wants = [
             (ResourceId.obj("zz"), X, COMMIT),
             (ResourceId.leaf(3), IX, COMMIT),
             (ResourceId.ext(7), SIX, SHORT),
             (ResourceId.leaf(1), S, COMMIT),
         ]
-        ordered = GranuleLockProtocol._ordered(wants)
-        namespaces = [w[0].namespace.value for w in ordered]
+        assert ctx.acquire_conditional(wants) is None
+        namespaces = [w[0].namespace.value for w in ctx.taken]
         assert namespaces == sorted(namespaces)
-        leaf_keys = [w[0].key for w in ordered if w[0].namespace.value == "leaf"]
+        leaf_keys = [w[0].key for w in ctx.taken if w[0].namespace.value == "leaf"]
         assert leaf_keys == sorted(leaf_keys, key=repr)
 
     def test_order_is_total_and_stable(self):
         wants = [(ResourceId.leaf(i), IX, SHORT) for i in (5, 3, 9, 1)]
-        a = GranuleLockProtocol._ordered(wants)
-        b = GranuleLockProtocol._ordered(list(reversed(wants)))
-        assert [w[0] for w in a] == [w[0] for w in b]
+        a, b = OpContext(LockManager(), "t"), OpContext(LockManager(), "t")
+        assert a.acquire_conditional(wants) is None
+        assert b.acquire_conditional(list(reversed(wants))) is None
+        assert [w[0] for w in a.taken] == [w[0] for w in b.taken]
 
 
 class TestInsertWants:
@@ -142,7 +144,7 @@ class TestInsertWants:
     def test_naive_wants_minimal(self):
         index = self.make(InsertionPolicy.NAIVE)
         plan = index.tree.plan_insert(rect(8, 8, 9, 9))  # boundary-changing
-        ctx = OpContext("t")
+        ctx = OpContext(index.lock_manager, "t")
         wants = index.protocol._insert_wants(ctx, plan, "new", rect(8, 8, 9, 9))
         assert wants == [
             (ResourceId.leaf(plan.leaf_id), IX, COMMIT),
@@ -157,7 +159,7 @@ class TestInsertWants:
                 index.insert(txn, f"fill{i}", rect(i, 0.2, i + 0.5, 0.6))
         assert index.tree.height >= 2
         interior = index.tree.plan_insert(rect(1.5, 1.5, 1.8, 1.8))
-        ctx = OpContext("t")
+        ctx = OpContext(index.lock_manager, "t")
         wants = index.protocol._insert_wants(ctx, interior, "new", rect(1.5, 1.5, 1.8, 1.8))
         if not interior.changes_boundaries:
             assert len(wants) == 2  # IX + X only
@@ -176,7 +178,7 @@ class TestInsertWants:
                 index.insert(txn, f"fill{i}", rect(i, 0.2, i + 0.5, 0.6))
         assert index.tree.height >= 2
         plan = index.tree.plan_insert(rect(5, 8, 5.5, 8.5))
-        ctx = OpContext("t")
+        ctx = OpContext(index.lock_manager, "t")
         wants = index.protocol._insert_wants(ctx, plan, "new", rect(5, 8, 5.5, 8.5))
         assert any(r.namespace.value == "ext" for r, _m, _d in wants)
 
@@ -187,6 +189,6 @@ class TestInsertWants:
                 index.insert(txn, f"fill{i}", rect(1 + i * 0.1, 1, 1.05 + i * 0.1, 1.1))
         plan = index.tree.plan_insert(rect(1.5, 1.5, 1.6, 1.6))
         if plan.leaf_splits:
-            ctx = OpContext("t")
+            ctx = OpContext(index.lock_manager, "t")
             wants = index.protocol._insert_wants(ctx, plan, "new", rect(1.5, 1.5, 1.6, 1.6))
             assert (ResourceId.leaf(plan.leaf_id), SIX, SHORT) in wants
