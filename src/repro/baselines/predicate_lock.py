@@ -11,7 +11,11 @@ granular locks (predicates are exact, granules are coarse), but every
 acquisition compares against *all* predicates held by other transactions.
 :attr:`PredicateLockTable.comparisons` counts those checks; the Table 4
 benchmark reports them as the scheme's lock overhead, next to the O(1)
-hash-table lookups of the granular scheme.
+hash-table lookups of the granular scheme.  Each check is also counted
+for the transaction whose request it judges
+(:meth:`PredicateLockTable.comparisons_of`), including the checks a
+release makes for a waiting request, so a simulated operation is charged
+its own comparisons only.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ class PredicateLockTable:
         self._seq = itertools.count()
         #: pairwise predicate-overlap checks performed (the overhead metric)
         self.comparisons = 0
+        #: txn -> the checks made for its requests, until it terminates
+        self._txn_comparisons: Dict[TxnId, int] = {}
         self.acquisitions = 0
         self.wait_count = 0
         self.deadlock_count = 0
@@ -139,7 +145,14 @@ class PredicateLockTable:
                     request.error = LockError(f"transaction {txn_id!r} terminated")
                     self.wait_strategy.notify(self, request)
             self._txn_order.pop(txn_id, None)
+            self._txn_comparisons.pop(txn_id, None)
             self._process_queue()
+
+    def comparisons_of(self, txn_id: TxnId) -> int:
+        """Checks made so far for the requests of ``txn_id`` (0 once it
+        has terminated)."""
+        with self._mutex:
+            return self._txn_comparisons.get(txn_id, 0)
 
     def held_count(self) -> int:
         with self._mutex:
@@ -149,13 +162,16 @@ class PredicateLockTable:
 
     def _grantable(self, txn_id: TxnId, rect: Rect, exclusive: bool) -> bool:
         ok = True
+        checks = 0
         for other, predicates in self._held.items():
             if other == txn_id:
                 continue
             for held in predicates:
-                self.comparisons += 1
+                checks += 1
                 if (exclusive or held.exclusive) and held.rect.intersects(rect):
                     ok = False
+        self.comparisons += checks
+        self._txn_comparisons[txn_id] = self._txn_comparisons.get(txn_id, 0) + checks
         return ok
 
     def _process_queue(self) -> None:

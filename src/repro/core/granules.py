@@ -85,6 +85,15 @@ class GranuleSet:
         self._leaf_refs = _RefTable(ResourceId.leaf, True)
         self._ext_refs = _RefTable(ResourceId.ext, False)
 
+    def leaf_name(self, page_id: PageId) -> ResourceId:
+        """The lock name of the leaf granule on ``page_id``, from the same
+        per-page table the walks use (so writers and scans share it)."""
+        return self._leaf_refs[page_id].resource
+
+    def ext_name(self, page_id: PageId) -> ResourceId:
+        """The lock name of the external granule of the node on ``page_id``."""
+        return self._ext_refs[page_id].resource
+
     def external_region(self, node: Node) -> Region:
         """The external granule of a non-leaf node: ``T_s − ⋃ children``.
 

@@ -31,6 +31,7 @@ from repro.core.policy import InsertionPolicy
 from repro.core.protocol import GranuleLockProtocol, OpContext, Want
 from repro.geometry import Rect
 from repro.lock.manager import DeadlockError, LockManager
+from repro.lock.modes import MODE_NAME
 from repro.rtree.entry import ObjectId
 from repro.rtree.report import SMOReport
 from repro.rtree.tree import RTree, RTreeConfig
@@ -204,7 +205,7 @@ class TransactionalIndex:
             if ctx.waits:
                 stats.record_lock_wait(ctx.waits)
             if ctx.taken:
-                stats.record_locks(m.value for _r, m, _d in ctx.taken)
+                stats.record_locks([MODE_NAME[m] for _r, m, _d in ctx.taken])
             if tracer is not None:
                 tracer.emit(
                     "op.end",

@@ -150,7 +150,7 @@ class OpContext:
         cannot deadlock with another doing the same -- waits still
         happen, cycles mostly do not."""
         lm, txn_id = self.lm, self.txn_id
-        for want in sorted(wants, key=lambda w: (w[0].namespace.value, repr(w[0].key))):
+        for want in sorted(wants, key=lambda w: w[0].sort_key):
             resource, mode, duration = want
             if lm.holds_covering(txn_id, resource, mode, duration):
                 continue
@@ -378,7 +378,7 @@ class GranuleLockProtocol:
                     return None
                 leaf_id, entry = located
                 wants: List[Want] = [
-                    (ResourceId.leaf(leaf_id), IX, COMMIT),
+                    (self.granules.leaf_name(leaf_id), IX, COMMIT),
                     (ResourceId.obj(oid), X, COMMIT),
                 ]
                 blocked = ctx.acquire_conditional(wants)
@@ -416,7 +416,7 @@ class GranuleLockProtocol:
                 if located is not None:
                     leaf_id, entry = located
                     wants: List[Want] = [
-                        (ResourceId.leaf(leaf_id), IX, COMMIT),
+                        (self.granules.leaf_name(leaf_id), IX, COMMIT),
                         (ResourceId.obj(oid), X, COMMIT),
                     ]
                     blocked = ctx.acquire_conditional(wants)
@@ -455,7 +455,7 @@ class GranuleLockProtocol:
         self, ctx: OpContext, plan: InsertPlan, oid: ObjectId, rect: Rect
     ) -> List[Want]:
         wants: List[Want] = []
-        leaf_res = ResourceId.leaf(plan.leaf_id)
+        leaf_res = self.granules.leaf_name(plan.leaf_id)
         if plan.leaf_splits:
             # §3.5: a short SIX (not IX) on the granule about to split --
             # it conflicts with every other holder, so nobody's lock on g
@@ -483,7 +483,7 @@ class GranuleLockProtocol:
         # transaction may be holding a lock on an external granule we are
         # about to deform.
         for page_id in plan.changed_external_parents:
-            wants.append((ResourceId.ext(page_id), SIX, SHORT))
+            wants.append((self.granules.ext_name(page_id), SIX, SHORT))
         return wants
 
     def _policy_overlap_set(
@@ -524,7 +524,7 @@ class GranuleLockProtocol:
         index into ``plan.path_ids`` of the highest such ancestor."""
         highest: Optional[int] = None
         for page_id in plan.changed_external_parents:
-            if self.lm.holds_covering(ctx.txn_id, ResourceId.ext(page_id), S, COMMIT):
+            if self.lm.holds_covering(ctx.txn_id, self.granules.ext_name(page_id), S, COMMIT):
                 idx = plan.path_ids.index(page_id)
                 if highest is None or idx < highest:
                     highest = idx
@@ -539,30 +539,31 @@ class GranuleLockProtocol:
     ) -> List[Want]:
         wants: List[Want] = []
         holds = self.lm.holds_covering
-        held_s_on_leaf = holds(ctx.txn_id, ResourceId.leaf(plan.leaf_id), S, COMMIT)
+        leaf, ext = self.granules.leaf_name, self.granules.ext_name
+        held_s_on_leaf = holds(ctx.txn_id, leaf(plan.leaf_id), S, COMMIT)
 
         for split in report.splits:
             if split.level == 0:
                 # §3.5: after the leaf split, IX on both halves protects
                 # the inserted object wherever it landed.
-                wants.append((ResourceId.leaf(split.left_id), IX, COMMIT))
-                wants.append((ResourceId.leaf(split.right_id), IX, COMMIT))
+                wants.append((leaf(split.left_id), IX, COMMIT))
+                wants.append((leaf(split.right_id), IX, COMMIT))
                 if held_s_on_leaf:
                     # The inserter's own S coverage of g: SIX on both
                     # halves plus S on ext(parent) covers g's old extent.
                     parent = self.tree.node(split.left_id, count_io=False).parent_id
-                    wants.append((ResourceId.leaf(split.left_id), SIX, COMMIT))
-                    wants.append((ResourceId.leaf(split.right_id), SIX, COMMIT))
-                    wants.append((ResourceId.ext(parent), S, COMMIT))
+                    wants.append((leaf(split.left_id), SIX, COMMIT))
+                    wants.append((leaf(split.right_id), SIX, COMMIT))
+                    wants.append((ext(parent), S, COMMIT))
             else:
                 # A non-leaf split replaces ext(N) by ext(N1), ext(N2); a
                 # transaction holding S on ext(N) re-covers via both plus
                 # ext(parent) (§3.5).
-                if holds(ctx.txn_id, ResourceId.ext(split.old_id), S, COMMIT):
+                if holds(ctx.txn_id, ext(split.old_id), S, COMMIT):
                     parent = self.tree.node(split.left_id, count_io=False).parent_id
-                    wants.append((ResourceId.ext(split.left_id), S, COMMIT))
-                    wants.append((ResourceId.ext(split.right_id), S, COMMIT))
-                    wants.append((ResourceId.ext(parent), S, COMMIT))
+                    wants.append((ext(split.left_id), S, COMMIT))
+                    wants.append((ext(split.right_id), S, COMMIT))
+                    wants.append((ext(parent), S, COMMIT))
 
         if inherit_from is not None:
             # The region the inserter lost from ext(P) is now covered by
@@ -570,15 +571,15 @@ class GranuleLockProtocol:
             # granule; S locks there restore the coverage.
             for page_id in plan.path_ids[inherit_from + 1 : -1]:
                 if self.tree.pager.exists(page_id):
-                    wants.append((ResourceId.ext(page_id), S, COMMIT))
+                    wants.append((ext(page_id), S, COMMIT))
             for split in report.splits:
                 if split.level == 0:
-                    wants.append((ResourceId.leaf(split.left_id), S, COMMIT))
-                    wants.append((ResourceId.leaf(split.right_id), S, COMMIT))
+                    wants.append((leaf(split.left_id), S, COMMIT))
+                    wants.append((leaf(split.right_id), S, COMMIT))
                     break
             else:
                 if self.tree.pager.exists(plan.leaf_id):
-                    wants.append((ResourceId.leaf(plan.leaf_id), S, COMMIT))
+                    wants.append((leaf(plan.leaf_id), S, COMMIT))
         return wants
 
     # ------------------------------------------------------------------
@@ -604,7 +605,7 @@ class GranuleLockProtocol:
                 if located is not None:
                     leaf_id, entry = located
                     wants: List[Want] = [
-                        (ResourceId.leaf(leaf_id), IX, COMMIT),
+                        (self.granules.leaf_name(leaf_id), IX, COMMIT),
                         (ResourceId.obj(oid), X, COMMIT),
                     ]
                     blocked = ctx.acquire_conditional(wants)
@@ -651,7 +652,7 @@ class GranuleLockProtocol:
                     # the deleter committed: nothing to reclaim.
                     return None
                 wants: List[Want] = []
-                leaf_res = ResourceId.leaf(plan.leaf_id)
+                leaf_res = self.granules.leaf_name(plan.leaf_id)
                 if plan.underflows:
                     # Node elimination destroys the granule: the SIX lock
                     # fences even IX holders (§3.7).
@@ -660,7 +661,7 @@ class GranuleLockProtocol:
                     wants.append((leaf_res, IX, SHORT))
                 wants.append((ResourceId.obj(oid), X, COMMIT))
                 for page_id in plan.changed_external_parents:
-                    wants.append((ResourceId.ext(page_id), SIX, SHORT))
+                    wants.append((self.granules.ext_name(page_id), SIX, SHORT))
                 # Table 3's "locks for reinsertion of orphan entries":
                 # short IX on every granule overlapping an orphan's
                 # rectangle fences scanners of those regions until every
@@ -717,16 +718,16 @@ class GranuleLockProtocol:
                 plan = self.tree.plan_insert(entry.rect, target_level=target_level)
                 wants: List[Want] = []
                 if target_level == 0:
-                    target_res = ResourceId.leaf(plan.leaf_id)
+                    target_res = self.granules.leaf_name(plan.leaf_id)
                     wants.append((target_res, SIX if plan.leaf_splits else IX, SHORT))
                 else:
-                    target_res = ResourceId.ext(plan.leaf_id)
+                    target_res = self.granules.ext_name(plan.leaf_id)
                     wants.append((target_res, SIX, SHORT))
                 for ref in self._policy_overlap_set(ctx, plan, entry.rect):
                     if ref.resource != target_res:
                         wants.append((ref.resource, IX, SHORT))
                 for page_id in plan.changed_external_parents:
-                    wants.append((ResourceId.ext(page_id), SIX, SHORT))
+                    wants.append((self.granules.ext_name(page_id), SIX, SHORT))
                 blocked = ctx.acquire_conditional(wants)
                 if blocked is None:
                     report = self.tree.reinsert_entry(entry, target_level, plan)

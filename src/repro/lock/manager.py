@@ -15,9 +15,14 @@ a consistent snapshot of the whole table.
 Every order that decides who wakes first is canonical and
 process-independent: ``release_all`` and ``end_operation`` process
 queues in :func:`_resource_order`, and the deadlock sweep and the
-waits-for graph visit resources in lock-table insertion order.  Replays
-and trace artifacts are therefore byte-identical across interpreter
-invocations.
+waits-for graph visit the resources with waiters, in first-lock order.
+Replays and trace artifacts are therefore byte-identical across
+interpreter invocations.
+
+The manager indexes the heads whose wait queue is not empty, so the
+deadlock sweep, a victim's wake-up pass and ``waiting_requests`` cost
+in proportion to the resources somebody waits on, not to every resource
+ever locked.
 
 Waiting is delegated to a pluggable :class:`WaitStrategy` so the same
 manager serves three execution modes -- single-threaded (waits are
@@ -32,16 +37,17 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Collection, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.lock.modes import LockDuration, LockMode, compatible, covers, supremum
+from repro.lock.modes import MODE_NAME, LockDuration, LockMode, compatible, covers, supremum
 from repro.lock.resource import ResourceId
 
 
 def _resource_order(resource: ResourceId) -> Tuple[str, str]:
     """A total, process-independent order over resources (hash order is
     per-process randomised for string keys)."""
-    return (resource.namespace.value, repr(resource.key))
+    return resource.sort_key
 
 TxnId = Hashable
 
@@ -140,13 +146,22 @@ class _Held:
 
 
 class _LockHead:
-    """Per-resource state: the granted group and the wait queue."""
+    """Per-resource state: the granted group and the wait queue.
 
-    __slots__ = ("granted", "queue")
+    ``seq`` numbers heads in creation order, which is the lock table's
+    insertion order.  Heads hash by identity; any order read off a set of
+    heads comes from sorting on ``seq``."""
 
-    def __init__(self) -> None:
+    __slots__ = ("granted", "queue", "seq")
+
+    def __init__(self, seq: int) -> None:
         self.granted: Dict[TxnId, _Held] = {}
         self.queue: List[LockRequest] = []
+        self.seq = seq
+
+
+#: sort key of a set of heads: creation order
+_by_seq = attrgetter("seq")
 
 
 class WaitStrategy:
@@ -212,6 +227,9 @@ class LockManager:
         self._cond = threading.Condition(self._mutex)
         #: resource -> granted group and wait queue, in first-lock order
         self._heads: Dict[ResourceId, _LockHead] = {}
+        #: the heads whose wait queue is not empty (kept by ``_enqueue``
+        #: and ``_dequeue``); visit them through ``_waiting_heads``
+        self._waiting: Set[_LockHead] = set()
         #: requests currently sitting in some wait queue
         self._queued = 0
         #: txn -> list of (resource, mode) short-duration holds, release order
@@ -222,6 +240,7 @@ class LockManager:
         #: ``release_all`` visits only the heads that can hold its state
         self._txn_resources: Dict[TxnId, Set[ResourceId]] = {}
         self._seq = itertools.count()
+        self._head_seq = itertools.count()
         #: granted acquisitions by mode name
         self.acquisition_counts: Dict[str, int] = {}
         #: how many requests have had to wait
@@ -257,7 +276,7 @@ class LockManager:
         with self._mutex:
             head = self._heads.get(resource)
             if head is None:
-                head = self._heads[resource] = _LockHead()
+                head = self._heads[resource] = _LockHead(next(self._head_seq))
             held = head.granted.get(txn_id)
             conversion = held is not None and not held.empty()
 
@@ -361,7 +380,9 @@ class LockManager:
                 held.drop_duration(LockDuration.SHORT)
                 if held.empty():
                     del head.granted[txn_id]
-                touched.add(resource)
+                if head.queue:
+                    # only a head with waiters has a grant to make
+                    touched.add(resource)
             # Canonical order: set iteration is hash-randomised per
             # process, and the queue-processing order decides which
             # waiter wakes first -- sorting keeps replays (and trace
@@ -386,7 +407,7 @@ class LockManager:
                         self._emit_wait("lock.abort", request)
                         self.wait_strategy.notify(self, request)
                         changed = True
-                if changed:
+                if changed and head.queue:
                     self._process_queue(head)
             self._txn_order.pop(txn_id, None)
             sink = self.obs_sink
@@ -475,7 +496,7 @@ class LockManager:
     def waiting_requests(self) -> List[LockRequest]:
         """Every request currently queued, across all resources."""
         with self._mutex:
-            return [r for head in self._heads.values() for r in head.queue]
+            return [r for head in self._waiting_heads() for r in head.queue]
 
     # ------------------------------------------------------------------
     # internals (manager mutex held)
@@ -517,7 +538,8 @@ class LockManager:
         else:
             resources.add(resource)
         counts = self.acquisition_counts
-        counts[mode.value] = counts.get(mode.value, 0) + 1
+        name = MODE_NAME[mode]
+        counts[name] = counts.get(name, 0) + 1
 
     def _enqueue(self, head: _LockHead, request: LockRequest) -> None:
         if request.conversion:
@@ -528,11 +550,19 @@ class LockManager:
             head.queue.insert(idx, request)
         else:
             head.queue.append(request)
+        self._waiting.add(head)
         self._queued += 1
 
     def _dequeue(self, head: _LockHead, request: LockRequest) -> None:
         head.queue.remove(request)
+        if not head.queue:
+            self._waiting.discard(head)
         self._queued -= 1
+
+    def _waiting_heads(self) -> List[_LockHead]:
+        """The heads with waiters, in lock-table insertion order: what a
+        walk over ``_heads`` visits with the idle heads left out."""
+        return sorted(self._waiting, key=_by_seq)
 
     def _process_queue(self, head: _LockHead) -> None:
         """Grant newly compatible waiters, conversions first then FIFO."""
@@ -565,7 +595,7 @@ class LockManager:
 
     def _waits_for_locked(self) -> Dict[TxnId, Set[TxnId]]:
         graph: Dict[TxnId, Set[TxnId]] = {}
-        for head in self._heads.values():
+        for head in self._waiting_heads():
             for idx, request in enumerate(head.queue):
                 blockers = set(_conflicting_holders(head, request.mode, (request.txn_id,)))
                 # Earlier incompatible waiters also block (FIFO order).
@@ -592,7 +622,7 @@ class LockManager:
     def _abort_waiter(self, victim: TxnId, cycle: Tuple[TxnId, ...]) -> None:
         """Cancel the victim's waits, then re-process every queue."""
         error = DeadlockError(victim, cycle)
-        for head in list(self._heads.values()):
+        for head in self._waiting_heads():
             for request in list(head.queue):
                 if request.txn_id == victim:
                     self._dequeue(head, request)
@@ -601,7 +631,7 @@ class LockManager:
                     self._emit_wait("lock.abort", request)
                     self.wait_strategy.notify(self, request)
         # Whatever queue the victim vacated may now be grantable.
-        for head in list(self._heads.values()):
+        for head in self._waiting_heads():
             self._process_queue(head)
 
     def _timeout_request(self, request: LockRequest) -> None:
@@ -622,7 +652,9 @@ class LockManager:
 
         After every transaction has terminated both numbers must be zero;
         the stress harness asserts this as a post-run invariant (a leaked
-        hold means some release path missed a bookkeeping entry).
+        hold means some release path missed a bookkeeping entry).  A head
+        left in the waiter index with an empty queue counts as one queued
+        entry, so the index must be empty too.
         """
         holds = 0
         queued = 0
@@ -630,6 +662,7 @@ class LockManager:
             for head in self._heads.values():
                 holds += sum(1 for held in head.granted.values() if not held.empty())
                 queued += len(head.queue)
+            queued += sum(1 for head in self._waiting if not head.queue)
         return holds, queued
 
     # ------------------------------------------------------------------

@@ -88,6 +88,10 @@ _COVERS: Dict[LockMode, frozenset] = {
 #: Modes in non-decreasing strength order (a topological order of the lattice).
 MODE_ORDER = (LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX, LockMode.X)
 
+#: mode -> its name: a dict hit in C where ``mode.value`` runs the
+#: Python-level ``Enum.value`` property (per-grant counters read it)
+MODE_NAME: Dict[LockMode, str] = {mode: mode.value for mode in LockMode}
+
 
 def covers(stronger: LockMode, weaker: LockMode) -> bool:
     """True when holding ``stronger`` implies the privileges of ``weaker``."""

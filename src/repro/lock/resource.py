@@ -31,8 +31,9 @@ class Namespace(enum.Enum):
         return self.value
 
 
-#: per-namespace hash salt (computed once; CRC of the namespace name)
-_NS_SALT = {}
+#: namespace -> (hash salt, name): the salt is the CRC of the name; both
+#: are computed once, since ``Namespace.value`` is a Python-level property
+_NS_INFO = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +47,10 @@ class ResourceId:
     hashing), so the layout of those dicts and sets -- and any order
     read off them -- does not change between interpreter invocations,
     keeping replays and trace artifacts byte-stable.
+
+    ``sort_key``, ``(namespace.value, repr(key))``, is the canonical
+    total order over resources (lock-set requests, queue processing);
+    it is memoised beside the hash, so a sort reads an attribute.
     """
 
     namespace: Namespace
@@ -53,14 +58,16 @@ class ResourceId:
 
     def __post_init__(self) -> None:
         key = self.key
-        salt = _NS_SALT[self.namespace]
+        salt, name = _NS_INFO[self.namespace]
+        text = repr(key)
         if type(key) is int:
             # page ids / small ints: a Weyl-style mix is ~4x cheaper than
             # CRC over the repr and just as stable across processes
             h = (salt ^ (key * 0x9E3779B1)) & 0x7FFFFFFF
         else:
-            h = zlib.crc32(repr(key).encode(), salt)
+            h = zlib.crc32(text.encode(), salt)
         object.__setattr__(self, "_hash", h)
+        object.__setattr__(self, "sort_key", (name, text))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -94,4 +101,4 @@ class ResourceId:
         return f"{self.namespace.value}:{self.key}"
 
 
-_NS_SALT.update({ns: zlib.crc32(ns.value.encode()) for ns in Namespace})
+_NS_INFO.update({ns: (zlib.crc32(ns.value.encode()), ns.value) for ns in Namespace})

@@ -113,6 +113,8 @@ def find_lost_updates(history: History) -> List[Violation]:
 def check_structure(index, strategy) -> List[Violation]:
     """Post-run invariants over the index, lock table and wait strategy."""
     out: List[Violation] = []
+    # ``queued`` also counts heads left in the lock manager's waiter
+    # index with an empty queue, so the index must be empty too.
     holds, queued = index.lock_manager.outstanding()
     if holds or queued:
         out.append(

@@ -5,7 +5,8 @@ replays its :class:`~repro.workloads.operations.TxnScript` list against an
 index (begin, the script's operations, commit), charging every operation
 its :class:`~repro.concurrency.simulator.CostModel` cost: ``lock_op``
 per lock in the operation's own ``locks_taken`` and ``predicate_check``
-per predicate comparison made while it ran.  A deadlock
+per predicate comparison made for its own transaction while it ran
+(another transaction's checks, made while this one waited, are theirs).  A deadlock
 victim comes back already rolled back; a fault (``InjectedAbort`` at a
 yield point, ``ProcessCancelled`` out of a parked wait) leaves the
 transaction active, so the driver aborts it.  Either way the client backs
@@ -44,9 +45,11 @@ def _apply(index, txn, op: OpCall):
     raise ValueError(f"unknown op kind {op.kind!r}")
 
 
-def _comparisons(index) -> int:
-    """Predicate comparisons so far, by every transaction."""
-    return index.predicates.comparisons if isinstance(index, PredicateLockIndex) else 0
+def _comparisons(index, txn) -> int:
+    """Predicate comparisons made so far for ``txn``'s requests."""
+    if isinstance(index, PredicateLockIndex):
+        return index.predicates.comparisons_of(txn.txn_id)
+    return 0
 
 
 def spawn_clients(
@@ -68,13 +71,13 @@ def spawn_clients(
                     txn = index.begin(f"{script.name}~{attempt}" if attempt else script.name)
                     try:
                         for op in script.ops:
-                            cmps_before = _comparisons(index)
+                            cmps_before = _comparisons(index, txn)
                             result = _apply(index, txn, op)
                             cost = (
                                 result.physical_reads * costs.io
                                 + costs.cpu
                                 + len(result.locks_taken) * costs.lock_op
-                                + (_comparisons(index) - cmps_before) * costs.predicate_check
+                                + (_comparisons(index, txn) - cmps_before) * costs.predicate_check
                                 + op.think
                             )
                             if on_op is not None:

@@ -143,6 +143,38 @@ class TestClientDriver:
         # the first scan took one predicate and compared it with the holder's
         assert end - start == reads * 10.0 + 1.0 + 0.5 + 3.0
 
+    def test_waiting_predicate_op_is_charged_only_its_own_comparisons(self):
+        sim = Simulator()
+        table = PredicateLockTable(SimulatedWait(sim))
+        index = PredicateLockIndex(
+            lock_manager=LockManager(wait_strategy=SimulatedWait(sim)),
+            predicate_table=table,
+            clock=lambda: sim.clock,
+        )
+        holder = index.begin("holder")  # X predicate over the waiter's scan
+        index.insert(holder, 99, Rect((0.05, 0.05), (0.06, 0.06)))
+        costs = CostModel(io=10.0, cpu=1.0, lock_op=0.5, predicate_check=3.0)
+        elsewhere = Rect((0.8, 0.8), (0.9, 0.9))
+        after = Rect((0.5, 0.5), (0.6, 0.6))
+        seen = []
+        scripts = [
+            [TxnScript("waiter", [scan(), OpCall("read_scan", rect=after)])],
+            # three scans while the waiter waits, one comparison each
+            [TxnScript("other", [OpCall("read_scan", rect=elsewhere)] * 3)],
+        ]
+        spawn_clients(sim, index, scripts, costs, 0,
+                      on_op=lambda op, result: seen.append((op.rect, sim.clock, result)))
+        sim.spawn("releaser", lambda: index.commit(holder), delay=200.0)
+        sim.run()
+        sim.raise_process_errors()
+        assert table.comparisons == 5  # 2 for the waiter's scan, 3 by "other"
+        (t_scan, result), (t_after, _r) = [(t, r) for rect, t, r in seen if rect != elsewhere]
+        assert t_scan >= 200.0  # granted at the holder's commit
+        # The waiter's own checks: against the holder when it asked, and
+        # again when "other" committed; none when the holder committed.
+        own = 2
+        assert t_after - t_scan == result.physical_reads * 10.0 + 1.0 + 0.5 + own * 3.0
+
     def test_unknown_op_kind_raises(self):
         sim = Simulator()
         index = ScriptedIndex(sim)
