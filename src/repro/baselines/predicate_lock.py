@@ -15,7 +15,9 @@ hash-table lookups of the granular scheme.  Each check is also counted
 for the transaction whose request it judges
 (:meth:`PredicateLockTable.comparisons_of`), including the checks a
 release makes for a waiting request, so a simulated operation is charged
-its own comparisons only.
+its own comparisons only.  Waits are tallied per transaction the same
+way (:meth:`PredicateLockTable.waits_of`), so an operation's
+``OpResult.lock_waits`` counts its predicate waits.
 """
 
 from __future__ import annotations
@@ -94,6 +96,8 @@ class PredicateLockTable:
         self.comparisons = 0
         #: txn -> the checks made for its requests, until it terminates
         self._txn_comparisons: Dict[TxnId, int] = {}
+        #: txn -> the waits its requests made, until it terminates
+        self._txn_waits: Dict[TxnId, int] = {}
         self.acquisitions = 0
         self.wait_count = 0
         self.deadlock_count = 0
@@ -125,6 +129,7 @@ class PredicateLockTable:
             request = PredicateRequest(txn_id, rect, exclusive, next(self._seq))
             self._queue.append(request)
             self.wait_count += 1
+            self._txn_waits[txn_id] = self._txn_waits.get(txn_id, 0) + 1
             self._resolve_deadlocks()
             if request.status is RequestStatus.WAITING:
                 self.wait_strategy.wait(self, request, None)
@@ -146,6 +151,7 @@ class PredicateLockTable:
                     self.wait_strategy.notify(self, request)
             self._txn_order.pop(txn_id, None)
             self._txn_comparisons.pop(txn_id, None)
+            self._txn_waits.pop(txn_id, None)
             self._process_queue()
 
     def comparisons_of(self, txn_id: TxnId) -> int:
@@ -153,6 +159,12 @@ class PredicateLockTable:
         has terminated)."""
         with self._mutex:
             return self._txn_comparisons.get(txn_id, 0)
+
+    def waits_of(self, txn_id: TxnId) -> int:
+        """Waits made so far by the requests of ``txn_id`` (0 once it has
+        terminated)."""
+        with self._mutex:
+            return self._txn_waits.get(txn_id, 0)
 
     def held_count(self) -> int:
         with self._mutex:
@@ -232,8 +244,14 @@ class PredicateLockIndex(BaselineIndex):
 
     def _lock_predicate(self, ctx: OpContext, rect: Rect, exclusive: bool) -> None:
         """Attach one predicate; the operation's record lists it with the
-        rectangle in place of a lock name."""
-        self.predicates.acquire(ctx.txn_id, rect, exclusive)
+        rectangle in place of a lock name, and counts its wait, if any (one
+        that ends in a deadlock abort too)."""
+        table = self.predicates
+        waits = table.waits_of(ctx.txn_id)
+        try:
+            table.acquire(ctx.txn_id, rect, exclusive)
+        finally:
+            ctx.waits += table.waits_of(ctx.txn_id) - waits
         ctx.taken.append((rect, LockMode.X if exclusive else LockMode.S, LockDuration.COMMIT))
 
     def _lock_scan(self, ctx: OpContext, predicate: Rect, for_update: bool) -> None:

@@ -26,9 +26,11 @@ check the walk against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+from operator import le
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.geometry import Rect, Region, filter_overlapping
+from repro.geometry import Rect, Region
 from repro.lock.resource import ResourceId
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
@@ -134,7 +136,7 @@ class GranuleSet:
         them, not only the first).
 
         A rect predicate picks each node's touching entries with one
-        :func:`~repro.geometry.rect.filter_overlapping` call; a region
+        :meth:`~repro.rtree.node.Node.overlapping` call; a region
         tests its parts entry by entry.  Refs come from the per-page
         tables, not built here.
         """
@@ -160,7 +162,7 @@ class GranuleSet:
         while stack:
             node, space = stack.pop()
             if single is not None:
-                hits = filter_overlapping(node.entries, single)
+                hits = node.overlapping(single)
             else:
                 hits = [
                     e for e in node.entries if any(e.rect.intersects(p) for p, _ in parts)
@@ -329,6 +331,19 @@ def _external_overlaps(
     for a, b in zip(lo, hi):
         if a >= b:
             return False
+    if out is None:
+        # Exact shortcuts that settle nearly every call before the sweep.
+        # A child containing the clipped box leaves nothing of it.  A
+        # point of the box (a corner or the centre) outside every closed
+        # child has an open neighbourhood outside them all, which meets
+        # the box (it has interior) in positive measure.
+        for c in children:
+            if all(map(le, c.lo, lo)) and all(map(le, hi, c.hi)):
+                return False
+        centre = tuple([(a + b) / 2 for a, b in zip(lo, hi)])
+        for point in chain(product(*zip(lo, hi)), (centre,)):
+            if not any(all(map(le, c.lo, point)) and all(map(le, point, c.hi)) for c in children):
+                return True
     return _leftover(lo, hi, children, 0, plo, phi, False, out)
 
 

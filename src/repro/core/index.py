@@ -45,8 +45,8 @@ class OpResult:
 
     #: the locks this operation was granted (its ``OpContext.taken``)
     locks_taken: List[Want] = field(default_factory=list)
-    #: the lock-manager waits this operation made (the predicate table's
-    #: waits are not counted)
+    #: the lock waits this operation made (on the lock manager, or on the
+    #: predicate table for the predicate-lock index)
     lock_waits: int = 0
     restarts: int = 0
     physical_reads: int = 0

@@ -11,7 +11,7 @@ The granular locking protocol reasons about three geometric objects:
   computations used by the R-tree split heuristics.
 """
 
-from repro.geometry.rect import Rect, filter_overlapping
+from repro.geometry.rect import Rect
 from repro.geometry.region import Region, subtract_rects
 
-__all__ = ["Rect", "Region", "filter_overlapping", "subtract_rects"]
+__all__ = ["Rect", "Region", "subtract_rects"]

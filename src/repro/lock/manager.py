@@ -596,14 +596,26 @@ class LockManager:
     def _waits_for_locked(self) -> Dict[TxnId, Set[TxnId]]:
         graph: Dict[TxnId, Set[TxnId]] = {}
         for head in self._waiting_heads():
+            # The first plain request with a conflicting holder: where
+            # _process_queue's FIFO barrier stops granting.
+            barrier: Optional[LockRequest] = None
             for idx, request in enumerate(head.queue):
-                blockers = set(_conflicting_holders(head, request.mode, (request.txn_id,)))
+                holders = set(_conflicting_holders(head, request.mode, (request.txn_id,)))
+                blockers = set(holders)
                 # Earlier incompatible waiters also block (FIFO order).
                 for earlier in head.queue[:idx]:
                     if earlier.txn_id != request.txn_id and not compatible(
                         request.mode, earlier.mode
                     ):
                         blockers.add(earlier.txn_id)
+                if not blockers and barrier is not None and barrier.txn_id != request.txn_id:
+                    # Compatible with everything ahead of it, a request
+                    # behind the barrier still waits until it is granted.
+                    blockers.add(barrier.txn_id)
+                elif barrier is None and holders and not request.conversion:
+                    held = head.granted.get(request.txn_id)
+                    if held is None or held.empty():
+                        barrier = request
                 if blockers:
                     graph.setdefault(request.txn_id, set()).update(blockers)
         return graph

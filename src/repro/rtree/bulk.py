@@ -22,7 +22,8 @@ def _tile(entries: List, capacity: int, dim: int, axis: int = 0) -> List[List]:
     """Recursively tile entries into groups of at most ``capacity``."""
     if len(entries) <= capacity:
         return [entries]
-    entries = sorted(entries, key=lambda e: e.rect.center[axis])
+    # the centre along ``axis`` only, computed as ``Rect.center`` does
+    entries = sorted(entries, key=lambda e: (e.rect.lo[axis] + e.rect.hi[axis]) / 2.0)
     n_groups = math.ceil(len(entries) / capacity)
     if axis == dim - 1:
         return [entries[i * capacity : (i + 1) * capacity] for i in range(n_groups)]
@@ -87,7 +88,7 @@ def bulk_load(
     for group in groups:
         page = tree.pager.allocate()
         node = Node(page.page_id, level=0)
-        node.entries = list(group)
+        node.set_entries(group)
         page.payload = node
         tree.register_leaf(node)
         level_nodes.append(node)
@@ -104,7 +105,7 @@ def bulk_load(
         for group in groups:
             page = tree.pager.allocate()
             node = Node(page.page_id, level=level)
-            node.entries = list(group)
+            node.set_entries(group)
             for entry in group:
                 tree.pager.peek(entry.child_id).payload.parent_id = node.page_id
             page.payload = node

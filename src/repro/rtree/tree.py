@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.geometry import Rect, filter_overlapping
+from repro.geometry import Rect
 from repro.rtree.entry import ChildEntry, LeafEntry, ObjectId
 from repro.rtree.node import Entry, Node
 from repro.rtree.report import GrowthRecord, ReinsertRecord, SMOReport, SplitRecord
@@ -204,7 +204,7 @@ class RTree:
         stack = [self.root()]
         while stack:
             node = stack.pop()
-            hits = filter_overlapping(node.entries, rect)
+            hits = node.overlapping(rect)
             if node.is_leaf:
                 results += [e for e in hits if include_tombstones or not e.tombstone]  # type: ignore[union-attr]
                 continue
@@ -219,12 +219,12 @@ class RTree:
         non-leaf levels (the granule walk decides leaf overlap one level
         up) and passes the overlapping leaves, so only those pages are
         read here.  Each leaf's entries go through one
-        :func:`~repro.geometry.rect.filter_overlapping` call, in leaf
-        order and entry order; tombstoned entries are dropped after it.
+        :meth:`Node.overlapping` call, in leaf order and entry order;
+        tombstoned entries are dropped after it.
         """
         results: List[LeafEntry] = []
         for page_id in leaf_ids:
-            hits = filter_overlapping(self.node(page_id).entries, rect)
+            hits = self.node(page_id).overlapping(rect)
             results += [e for e in hits if not e.tombstone]  # type: ignore[union-attr]
         return results
 
@@ -273,7 +273,7 @@ class RTree:
         stack = [root]
         while stack:
             node = stack.pop()
-            hits = filter_overlapping(node.entries, rect)
+            hits = node.overlapping(rect)
             if node.level == 1:
                 result += [entry.child_id for entry in hits]  # type: ignore[union-attr]
             else:
@@ -459,9 +459,7 @@ class RTree:
         """
         mbrs = [path[0].mbr()]
         for parent, child in zip(path, path[1:]):
-            entry = parent.child_entry(child.page_id)
-            assert entry is not None
-            mbrs.append(entry.rect)
+            mbrs.append(parent.child_entry(child.page_id).rect)
         return mbrs
 
     # ------------------------------------------------------------------
@@ -519,7 +517,7 @@ class RTree:
             raise RTreeError(f"duplicate object id {entry.oid!r}")
         else:
             self.directory[entry.oid] = target.page_id
-        target.entries.append(entry)
+        target.append(entry)
         self.pager.write(target.page_id)
 
         new_mbrs = self._adjust_upward(path, old_mbrs, entry.rect, report)
@@ -556,18 +554,14 @@ class RTree:
                     self._grow_root(node, left_mbr, right, right_mbr, report)
                 else:
                     parent = path[idx - 1]
-                    ce = parent.child_entry(node.page_id)
-                    assert ce is not None
-                    ce.rect = left_mbr
-                    parent.entries.append(ChildEntry(right_mbr, right.page_id))
+                    parent.set_child_rect(node.page_id, left_mbr)
+                    parent.append(ChildEntry(right_mbr, right.page_id))
                     right.parent_id = parent.page_id
                     self.pager.write(parent.page_id)
             else:
                 new_mbrs.append(grown)
                 if idx > 0 and grown != old:
-                    ce = path[idx - 1].child_entry(node.page_id)
-                    assert ce is not None
-                    ce.rect = grown
+                    path[idx - 1].set_child_rect(node.page_id, grown)
                     self.pager.write(path[idx - 1].page_id)
         new_mbrs.reverse()
         return new_mbrs
@@ -579,8 +573,8 @@ class RTree:
         right_page = self.pager.allocate()
         right = Node(right_page.page_id, node.level, parent_id=node.parent_id)
         right_page.payload = right
-        node.entries = list(left_entries)
-        right.entries = list(right_entries)
+        node.set_entries(left_entries)
+        right.set_entries(right_entries)
         if node.is_leaf:
             self.register_leaf(right)
         else:
@@ -611,7 +605,9 @@ class RTree:
         root_page = self.pager.allocate()
         new_root = Node(root_page.page_id, level=left.level + 1)
         root_page.payload = new_root
-        new_root.entries = [ChildEntry(left_mbr, left.page_id), ChildEntry(right_mbr, right.page_id)]
+        new_root.set_entries(
+            [ChildEntry(left_mbr, left.page_id), ChildEntry(right_mbr, right.page_id)]
+        )
         left.parent_id = new_root.page_id
         right.parent_id = new_root.page_id
         self.root_id = new_root.page_id
@@ -747,7 +743,7 @@ class RTree:
             self._size -= 1
         report = SMOReport(target_leaf=leaf.page_id)
         old_mbrs = dict(zip([n.page_id for n in path], self._path_mbrs(path)))
-        leaf.entries.remove(entry)
+        leaf.remove(entry)
         del self.directory[oid]
         self.pager.write(leaf.page_id)
 
@@ -787,13 +783,11 @@ class RTree:
                 eliminated.append(node)
                 self.pager.write(parent.page_id)
             else:
-                ce = parent.child_entry(node.page_id)
-                assert ce is not None
                 new_mbr = node.mbr()
                 assert new_mbr is not None
                 new_mbrs[node.page_id] = new_mbr
-                if ce.rect != new_mbr:
-                    ce.rect = new_mbr
+                if parent.child_entry(node.page_id).rect != new_mbr:
+                    parent.set_child_rect(node.page_id, new_mbr)
                     self.pager.write(parent.page_id)
             idx -= 1
 

@@ -14,7 +14,9 @@ operation sequences.  Checks, for the whole tree:
 5. every page reachable from the root exists in the page manager, and the
    live size counter matches the number of non-tombstoned entries;
 6. the object directory equals a full leaf scan: every data entry,
-   tombstoned or not, maps to its own leaf, and no other oid is mapped.
+   tombstoned or not, maps to its own leaf, and no other oid is mapped;
+7. every node's packed bounds (``Node.bounds``) hold exactly its
+   entries' boxes, in entry order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.rtree.entry import LeafEntry, ObjectId
+from repro.rtree.node import pack_bounds
 from repro.rtree.tree import RTree
 from repro.storage.page import INVALID_PAGE, PageId
 
@@ -62,6 +65,8 @@ def validate_tree(tree: RTree) -> None:
             errors.append(
                 f"node {node.page_id} overfull: {len(node.entries)} > {tree.config.max_entries}"
             )
+        if node.bounds != pack_bounds(node.entries):
+            errors.append(f"node {node.page_id} packed bounds differ from its entries")
 
         if node.is_leaf:
             for entry in node.entries:

@@ -60,7 +60,7 @@ def build_manual_tree(
     for i, entries in enumerate(leaves):
         page = pager.allocate()
         node = Node(page.page_id, level=0)
-        node.entries = [LeafEntry(oid, r) for oid, r in entries]
+        node.set_entries([LeafEntry(oid, r) for oid, r in entries])
         page.payload = node
         tree.register_leaf(node)
         leaf_nodes.append(node)
@@ -74,7 +74,7 @@ def build_manual_tree(
             node = Node(page.page_id, level=1)
             for idx in member_idxs:
                 leaf = leaf_nodes[idx]
-                node.entries.append(ChildEntry(leaf.mbr(), leaf.page_id))
+                node.append(ChildEntry(leaf.mbr(), leaf.page_id))
                 leaf.parent_id = node.page_id
             page.payload = node
             mid_nodes.append(node)
@@ -88,7 +88,7 @@ def build_manual_tree(
     root_page = pager.allocate()
     root = Node(root_page.page_id, level=root_level)
     for child in top_children:
-        root.entries.append(ChildEntry(child.mbr(), child.page_id))
+        root.append(ChildEntry(child.mbr(), child.page_id))
         child.parent_id = root.page_id
     root_page.payload = root
     names["root"] = root.page_id

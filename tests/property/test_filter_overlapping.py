@@ -1,4 +1,4 @@
-"""Property: ``filter_overlapping`` keeps exactly the entries whose rect
+"""Property: ``Node.overlapping`` keeps exactly the entries whose rect
 ``Rect.intersects`` the predicate, in their order, in 1-4 dimensions.
 
 Coordinates come from a small integer grid, so faces and corners that
@@ -13,8 +13,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Rect, filter_overlapping
-from repro.rtree import RTree, RTreeConfig
+from repro.geometry import Rect
+from repro.rtree import Node, RTree, RTreeConfig
 from repro.rtree.entry import LeafEntry
 
 GRID = st.integers(min_value=0, max_value=4)
@@ -70,11 +70,18 @@ def cases(draw):
     return predicate, [LeafEntry(i, rects[i]) for i in order]
 
 
+def overlapping(entries, predicate):
+    """``Node.overlapping`` on a leaf holding ``entries``."""
+    node = Node(0, level=0)
+    node.set_entries(entries)
+    return node.overlapping(predicate)
+
+
 @given(cases())
 @settings(max_examples=300, deadline=None)
 def test_filter_matches_intersects_in_order(case):
     predicate, entries = case
-    got = filter_overlapping(entries, predicate)
+    got = overlapping(entries, predicate)
     assert got == [e for e in entries if e.rect.intersects(predicate)]
 
 
@@ -82,9 +89,9 @@ def test_filter_matches_intersects_in_order(case):
 def test_closed_contact_counts(dim):
     predicate = Rect([1.0] * dim, [2.0] * dim)
     touching = [LeafEntry(i, r) for i, r in enumerate(contacts(predicate))]
-    assert filter_overlapping(touching, predicate) == touching
+    assert overlapping(touching, predicate) == touching
     apart = LeafEntry("apart", Rect([2.5] * dim, [3.0] * dim))
-    assert filter_overlapping([apart], predicate) == []
+    assert overlapping([apart], predicate) == []
 
 
 @given(

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PhantomProtectedRTree
-from repro.core.granules import GranuleSet
+from repro.core.granules import GranuleSet, _external_overlaps
 from repro.geometry import Rect, Region
 from repro.rtree import RTreeConfig, validate_tree
 from repro.stress.oracle import reference_overlapping
@@ -160,3 +160,40 @@ def test_point_on_a_child_face_touches_the_external_granule():
     refs = gs.overlapping(face_point)
     assert refs == reference_overlapping(gs, face_point)
     assert [r for r in refs if not r.is_leaf], "the face point must lock ext(root)"
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_shortcuts_agree_with_the_sweep(seed, dim):
+    """Asked only for the answer, the external-granule test may settle a
+    call by containment or by a point outside every child; asked for the
+    pieces, it always sweeps.  On a small grid, where children share
+    faces and corners with each other and with the predicate, the two
+    answers must agree.  Half the cases cut the predicate into pieces
+    that become children, so that the children together (and no one of
+    them) often cover it."""
+    rng = random.Random(seed)
+
+    def box(min_side: int) -> Rect:
+        lo = [float(rng.randrange(5)) for _ in range(dim)]
+        return Rect(lo, [v + rng.randrange(min_side, 3) for v in lo])
+
+    space = box(1)
+    predicate = box(1)
+    children = [box(0) for _ in range(rng.randrange(4))]
+    pieces: List[Rect] = [predicate]
+    for _ in range(rng.randrange(3)):
+        cut = pieces.pop(rng.randrange(len(pieces)))
+        axis = rng.randrange(dim)
+        mid = (cut.lo[axis] + cut.hi[axis]) / 2
+        lo_hi, hi_lo = list(cut.hi), list(cut.lo)
+        lo_hi[axis] = hi_lo[axis] = mid
+        pieces += [Rect(cut.lo, lo_hi), Rect(hi_lo, cut.hi)]
+    if rng.random() < 0.5:
+        # drop one piece now and then, so a hole may stay
+        children += pieces[1:] if rng.random() < 0.3 else pieces
+    rng.shuffle(children)
+    found: List[Rect] = []
+    swept = _external_overlaps(space, children, predicate, False, found)
+    assert swept == bool(found)
+    assert _external_overlaps(space, children, predicate, False, None) == swept

@@ -175,6 +175,32 @@ class TestClientDriver:
         own = 2
         assert t_after - t_scan == result.physical_reads * 10.0 + 1.0 + 0.5 + own * 3.0
 
+    def test_predicate_wait_counts_in_lock_waits(self):
+        sim = Simulator()
+        table = PredicateLockTable(SimulatedWait(sim))
+        index = PredicateLockIndex(
+            lock_manager=LockManager(wait_strategy=SimulatedWait(sim)),
+            predicate_table=table,
+            clock=lambda: sim.clock,
+        )
+        holder = index.begin("holder")  # X predicate over the first scan
+        index.insert(holder, 99, Rect((0.05, 0.05), (0.06, 0.06)))
+        results = []
+
+        def waiter():
+            txn = index.begin("waiter")
+            results.append(index.read_scan(txn, Rect((0.0, 0.0), (0.1, 0.1))))
+            results.append(index.read_scan(txn, Rect((0.5, 0.5), (0.6, 0.6))))
+            index.commit(txn)
+
+        sim.spawn("waiter", waiter)
+        sim.spawn("releaser", lambda: index.commit(holder), delay=5.0)
+        sim.run()
+        sim.raise_process_errors()
+        assert [r.lock_waits for r in results] == [1, 0]
+        assert table.wait_count == 1 and index.stats.lock_waits == 1
+        assert table.waits_of("waiter") == 0  # dropped when it committed
+
     def test_unknown_op_kind_raises(self):
         sim = Simulator()
         index = ScriptedIndex(sim)

@@ -8,7 +8,6 @@ from repro.core.granules import GranuleSet
 from repro.geometry import Rect, Region
 from repro.lock.resource import Namespace
 from repro.rtree import RTree, RTreeConfig
-from repro.rtree.entry import ChildEntry
 
 from tests.conftest import TEN, build_manual_tree, random_objects, rect
 
@@ -188,11 +187,12 @@ class TestCoverageInvariant:
             assert gs.loose_entries() == [] and gs.coverage_leftover().is_empty()
             node = rng.choice([n for n in tree.iter_nodes() if not n.is_leaf])
             i = rng.randrange(len(node.entries))
-            old = node.entries[i]
-            lo = [max(0.0, v - 0.2 * rng.random()) for v in old.rect.lo]
-            hi = [min(1.0, v + 0.2 * rng.random()) for v in old.rect.hi]
-            node.entries[i] = ChildEntry(Rect(lo, hi), old.child_id)
-            assert node.entries[i].rect != old.rect
+            entry = node.entries[i]
+            old = entry.rect
+            lo = [max(0.0, v - 0.2 * rng.random()) for v in old.lo]
+            hi = [min(1.0, v + 0.2 * rng.random()) for v in old.hi]
+            node.set_child_rect(entry.child_id, Rect(lo, hi))
+            assert entry.rect != old
             if not gs.coverage_leftover().is_empty():
                 global_flags += 1
             assert gs.loose_entries() == [(node.page_id, node.entries[i].rect)]

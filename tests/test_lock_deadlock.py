@@ -146,3 +146,43 @@ class TestWaitsForGraph:
             lm.acquire("waiter", R1, S, timeout=0.1)
         assert lm.waiting_requests() == []
         lm.release_all("holder")
+
+
+class TestFifoBarrier:
+    """A request compatible with every holder and every earlier waiter
+    still queues behind the first blocked plain request (the FIFO
+    barrier), so the waits-for graph must draw that edge: without it the
+    cycle below is never detected and every process stays parked."""
+
+    def test_is_request_behind_the_barrier_closes_a_cycle(self, observed):
+        from repro.concurrency import SimulatedWait, Simulator
+
+        sim = Simulator()
+        lm = make_lock_manager(observed, wait_strategy=SimulatedWait(sim, strict=True))
+        outcome = {}
+
+        def body(txn, held, wanted, delay):
+            def run():
+                lm.acquire(txn, *held)
+                sim.checkpoint(delay)
+                try:
+                    lm.acquire(txn, *wanted)
+                    outcome[txn] = "ok"
+                except DeadlockError:
+                    outcome[txn] = "victim"
+                sim.checkpoint(1.0)
+                lm.release_all(txn)
+
+            return run
+
+        # t1 holds S on R1; t2's IX on R1 waits for it and becomes the
+        # barrier; t3's IS on R1 conflicts with nobody but queues behind
+        # t2; t1's S on R2 then waits for t3's X: t1 -> t3 -> t2 -> t1.
+        sim.spawn("t1", body("t1", (R1, S), (R2, S), 3.0))
+        sim.spawn("t2", body("t2", (R3, S), (R1, LockMode.IX), 1.0))
+        sim.spawn("t3", body("t3", (R2, X), (R1, LockMode.IS), 2.0))
+        sim.run()
+        sim.raise_process_errors()
+        assert outcome == {"t1": "victim", "t2": "ok", "t3": "ok"}
+        assert lm.deadlock_count == 1
+        assert lm.outstanding() == (0, 0)

@@ -18,11 +18,12 @@ from repro.lock.manager import _resource_order
 from repro.lock.modes import LockDuration, compatible
 from repro.lock.resource import Namespace
 
-#: IS is left out: an IS request compatible with every holder and every
-#: earlier waiter still queues behind the FIFO barrier of an earlier
-#: blocked waiter, an edge the waits-for graph does not draw, so such a
-#: cycle is never detected.  Among the other four modes no request can
-#: be in that position, and no index requests IS.
+#: IS is left out: a new IS request compatible with every holder and
+#: every waiter still queues behind blocked conversions, and only the
+#: next release on that resource grants it, a wait the waits-for graph
+#: does not draw, so a cycle through it is never detected.  Among the
+#: other four modes no request can be in that position, and no index
+#: requests IS.
 MODES = (LockMode.IX, LockMode.S, LockMode.SIX, LockMode.X)
 
 
@@ -40,6 +41,20 @@ def reference_graph(lm):
             for earlier in head.queue[:idx]:
                 if earlier.txn_id != request.txn_id and not compatible(request.mode, earlier.mode):
                     blockers.add(earlier.txn_id)
+            # the FIFO barrier, for a request nothing else blocks: the
+            # first earlier plain request that some holder blocks
+            for earlier in head.queue[:idx] if not blockers else ():
+                held = head.granted.get(earlier.txn_id)
+                plain = not earlier.conversion and (held is None or held.empty())
+                if plain and any(
+                    other != earlier.txn_id
+                    and h.effective() is not None
+                    and not compatible(earlier.mode, h.effective())
+                    for other, h in head.granted.items()
+                ):
+                    if earlier.txn_id != request.txn_id:
+                        blockers.add(earlier.txn_id)
+                    break
             if blockers:
                 graph.setdefault(request.txn_id, set()).update(blockers)
     return graph
