@@ -31,7 +31,6 @@ from repro.core.policy import InsertionPolicy
 from repro.core.protocol import GranuleLockProtocol, OpContext, Want
 from repro.geometry import Rect
 from repro.lock.manager import DeadlockError, LockManager
-from repro.lock.modes import MODE_NAME
 from repro.rtree.entry import ObjectId
 from repro.rtree.report import SMOReport
 from repro.rtree.tree import RTree, RTreeConfig
@@ -198,14 +197,6 @@ class TransactionalIndex:
             result.lock_waits = ctx.waits
             result.restarts = ctx.restarts
             result.physical_reads = self.stats.physical_reads - before_reads
-            # Metrics-registry wiring: protocol-level lock traffic lands in
-            # the same stats bag the pager feeds, so ``snapshot()`` tells
-            # the whole story (the once-dead ``lock_waits`` in particular).
-            stats = self.stats
-            if ctx.waits:
-                stats.record_lock_wait(ctx.waits)
-            if ctx.taken:
-                stats.record_locks([MODE_NAME[m] for _r, m, _d in ctx.taken])
             if tracer is not None:
                 tracer.emit(
                     "op.end",

@@ -2,11 +2,12 @@
 
 Producer side (see ``docs/OBSERVABILITY.md``):
 
-* :mod:`repro.obs.metrics` -- the metrics registry (counters, gauges,
-  fixed-bucket histograms) that backs :class:`~repro.storage.stats.IOStats`
-  and any other counter bag that wants deterministic snapshots;
 * :mod:`repro.obs.tracer` -- the ring-buffered structured event tracer
   and the ``dgl-trace/1`` JSON-lines artifact format.
+
+Counters are not kept here: page I/O is counted by
+:class:`~repro.storage.stats.IOStats`, lock traffic by the
+:class:`~repro.lock.manager.LockManager`.
 
 Consumer side -- everything downstream of a trace:
 
@@ -46,13 +47,6 @@ from repro.obs.critical_path import (
 )
 from repro.obs.diff import DIFF_SCHEMA, check_thresholds, diff_reports, load_report
 from repro.obs.instrument import Instrumentation, instrument_index
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledCounter,
-    MetricsRegistry,
-)
 from repro.obs.profiler import (
     REPORT_SCHEMA,
     analyze_events,
@@ -63,11 +57,6 @@ from repro.obs.render import render_dashboard, render_from_trace
 from repro.obs.tracer import EventTracer, TRACE_SCHEMA, load_jsonl
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LabeledCounter",
-    "MetricsRegistry",
     "EventTracer",
     "TRACE_SCHEMA",
     "REPORT_SCHEMA",

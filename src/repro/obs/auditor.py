@@ -73,6 +73,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.core.protocol import TABLE3_ALLOWED, TABLE3_REQUIRED_OBJ_MODE
+from repro.lock.modes import LockMode, covers
 from repro.obs.model import WAIT_OUTCOMES, LockReplay, unit_of
 from repro.obs.tracer import EventTracer
 
@@ -134,14 +136,8 @@ class ProtocolAuditor:
     ) -> None:
         self.max_violations = max_violations
         self.on_violation = on_violation
-        # imported lazily: repro.obs loads during repro.core's own
-        # initialisation (storage.stats pulls the metrics registry), so
-        # the protocol tables cannot be module-level imports here
-        from repro.core.protocol import TABLE3_REQUIRED_OBJ_MODE
-        from repro.lock.modes import LockMode, covers
-
         if table is None:
-            from repro.core.protocol import TABLE3_ALLOWED as table
+            table = TABLE3_ALLOWED
         self._allowed = _stringify_table(table)
         #: kind -> (required object-lock mode, the modes covering it)
         self._first_touch = {

@@ -161,12 +161,7 @@ class RTree:
         (e.g. re-touching a node already pinned by the current operation).
         """
         if count_io:
-            page = self.pager.read(page_id)
-            node: Node = page.payload
-            # Attribute the access to the paper's top-down level numbering
-            # (root = 1, lowest index level = tree height).
-            self.pager.stats.reads_per_level[self.height - node.level] += 1
-            return node
+            return self.pager.read(page_id).payload
         return self.pager.peek(page_id).payload
 
     def root(self, count_io: bool = True) -> Node:

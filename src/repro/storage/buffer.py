@@ -40,13 +40,13 @@ class BufferPool:
         #: (default) costs one attribute test per miss, nothing per hit.
         self.tracer = None
 
-    def fetch(self, page: Page, level: Optional[int] = None) -> Page:
+    def fetch(self, page: Page) -> Page:
         """Route a page access through the pool, recording hit/miss."""
         if not self.capacity:
             self.misses += 1
-            self.stats.record_read(hit=False, level=level)
+            self.stats.record_read(hit=False)
             if self.tracer is not None:
-                self.tracer.emit("buffer.miss", page=page.page_id, level=level)
+                self.tracer.emit("buffer.miss", page=page.page_id)
             return page
         pid = page.page_id
         try:
@@ -57,12 +57,12 @@ class BufferPool:
             pass
         else:
             self.hits += 1
-            self.stats.record_read(hit=True, level=level)
+            self.stats.record_read(hit=True)
             return page
         self.misses += 1
-        self.stats.record_read(hit=False, level=level)
+        self.stats.record_read(hit=False)
         if self.tracer is not None:
-            self.tracer.emit("buffer.miss", page=pid, level=level)
+            self.tracer.emit("buffer.miss", page=pid)
         self._frames[pid] = page
         while len(self._frames) > self.capacity:
             self._frames.popitem(last=False)

@@ -56,10 +56,10 @@ class PageManager:
 
     # -- access --------------------------------------------------------------
 
-    def read(self, page_id: PageId, level: Optional[int] = None) -> Page:
+    def read(self, page_id: PageId) -> Page:
         """Fetch a page for reading, counting the access."""
         page = self._lookup(page_id)
-        return self.buffer_pool.fetch(page, level=level)
+        return self.buffer_pool.fetch(page)
 
     def write(self, page_id: PageId) -> Page:
         """Fetch a page for modification; marks it dirty and counts a write."""

@@ -1,185 +1,50 @@
-"""I/O and locking counters, backed by the metrics registry.
+"""Page I/O counters.
 
-A single mutable stats object is threaded through the pager, buffer pool
-and the DGL protocol layer so experiments can ask "how many page fetches
-did that insertion cost, per level?" -- the exact quantity of the paper's
-Table 2.
-
-Since the observability layer landed, :class:`IOStats` is a thin facade
-over a :class:`~repro.obs.metrics.MetricsRegistry`: every legacy field is
-a named registry instrument (``io.logical_reads``, ``lock.waits``, ...),
-``snapshot()`` delegates to the registry, and the legacy attribute
-surface -- including in-place mutation like ``stats.allocations += 1``
-and ``stats.reads_per_level[level] += 1`` -- keeps working unchanged via
-property setters and the dict-subclass labeled counters.
+A single mutable stats object is threaded through the pager and buffer
+pool so experiments can ask "how many page fetches did that operation
+cost?" -- the disk accesses the paper's Table 2 counts.  Lock traffic is
+counted by the lock manager (``acquisition_counts``, ``wait_count``), not
+here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.obs.metrics import LabeledCounter, MetricsRegistry
+from typing import Dict
 
 
 class IOStats:
-    """Counters for page traffic and lock traffic.
+    """Counters for page traffic.
 
     ``logical_reads`` counts every page fetch request; ``physical_reads``
-    counts only buffer misses (what the paper calls disk accesses);
-    ``reads_per_level`` attributes fetches to R-tree levels (root = 1,
-    counting downward) when the caller supplies a level.  ``lock_waits``
-    counts protocol-level lock waits: every time an operation had to park
-    for a conditional want that was not instantly grantable (wired by the
-    index layer, so the DGL stack reports it truthfully -- not just the
-    baselines).
+    counts only buffer misses (what the paper calls disk accesses).
     """
 
-    __slots__ = (
-        "registry",
-        "_logical",
-        "_physical",
-        "_writes",
-        "_allocations",
-        "_frees",
-        "_reads_per_level",
-        "_lock_acquisitions",
-        "_lock_waits",
-    )
+    __slots__ = ("logical_reads", "physical_reads", "writes", "allocations", "frees")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        reg = registry if registry is not None else MetricsRegistry()
-        self.registry = reg
-        self._logical = reg.counter("io.logical_reads")
-        self._physical = reg.counter("io.physical_reads")
-        self._writes = reg.counter("io.writes")
-        self._allocations = reg.counter("io.allocations")
-        self._frees = reg.counter("io.frees")
-        self._reads_per_level = reg.labeled("io.reads_per_level")
-        self._lock_acquisitions = reg.labeled("lock.acquisitions")
-        self._lock_waits = reg.counter("lock.waits")
+    def __init__(self) -> None:
+        self.reset()
 
-    # -- legacy attribute surface --------------------------------------
-
-    @property
-    def logical_reads(self) -> int:
-        return self._logical.value
-
-    @logical_reads.setter
-    def logical_reads(self, value: int) -> None:
-        self._logical.value = value
-
-    @property
-    def physical_reads(self) -> int:
-        return self._physical.value
-
-    @physical_reads.setter
-    def physical_reads(self, value: int) -> None:
-        self._physical.value = value
-
-    @property
-    def writes(self) -> int:
-        return self._writes.value
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._writes.value = value
-
-    @property
-    def allocations(self) -> int:
-        return self._allocations.value
-
-    @allocations.setter
-    def allocations(self, value: int) -> None:
-        self._allocations.value = value
-
-    @property
-    def frees(self) -> int:
-        return self._frees.value
-
-    @frees.setter
-    def frees(self, value: int) -> None:
-        self._frees.value = value
-
-    @property
-    def reads_per_level(self) -> LabeledCounter:
-        """level -> number of logical page fetches at that level."""
-        return self._reads_per_level
-
-    @property
-    def lock_acquisitions(self) -> LabeledCounter:
-        """lock mode name -> number of acquisitions."""
-        return self._lock_acquisitions
-
-    @property
-    def lock_waits(self) -> int:
-        return self._lock_waits.value
-
-    @lock_waits.setter
-    def lock_waits(self, value: int) -> None:
-        self._lock_waits.value = value
-
-    # -- recording -----------------------------------------------------
-
-    def record_read(self, hit: bool, level: Optional[int] = None) -> None:
-        self._logical.value += 1
+    def record_read(self, hit: bool) -> None:
+        self.logical_reads += 1
         if not hit:
-            self._physical.value += 1
-        if level is not None:
-            self._reads_per_level[level] += 1
+            self.physical_reads += 1
 
     def record_write(self) -> None:
-        self._writes.value += 1
-
-    def record_lock(self, mode_name: str) -> None:
-        self._lock_acquisitions[mode_name] += 1
-
-    def record_locks(self, mode_names) -> None:
-        """Batch form of :meth:`record_lock` (one C-level ``Counter.update``
-        instead of a Python call per lock -- the index layer records every
-        lock an operation took in one shot)."""
-        self._lock_acquisitions.update(mode_names)
-
-    def record_lock_wait(self, n: int = 1) -> None:
-        self._lock_waits.value += n
+        self.writes += 1
 
     def reset(self) -> None:
-        """Zero every instrument this facade owns (shared registry
-        instruments registered by others are left alone)."""
-        for metric in (
-            self._logical,
-            self._physical,
-            self._writes,
-            self._allocations,
-            self._frees,
-            self._reads_per_level,
-            self._lock_acquisitions,
-            self._lock_waits,
-        ):
-            metric.reset()
+        self.logical_reads = 0
+        self.physical_reads = 0
+        self.writes = 0
+        self.allocations = 0
+        self.frees = 0
 
-    def snapshot(self) -> Dict[str, object]:
-        """A plain-dict copy suitable for diffing before/after an operation.
-
-        Keys are the legacy names; values come straight from the registry
-        instruments (``metrics`` carries the registry-native view, so new
-        instruments registered alongside are visible without new fields).
-        """
-        return {
-            "logical_reads": self._logical.value,
-            "physical_reads": self._physical.value,
-            "writes": self._writes.value,
-            "allocations": self._allocations.value,
-            "frees": self._frees.value,
-            "reads_per_level": dict(self._reads_per_level),
-            "lock_acquisitions": dict(self._lock_acquisitions),
-            "lock_waits": self._lock_waits.value,
-        }
-
-    def total_locks(self) -> int:
-        return sum(self._lock_acquisitions.values())
+    def snapshot(self) -> Dict[str, int]:
+        """A plain-dict copy suitable for diffing before/after an operation."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
         return (
             f"IOStats(logical={self.logical_reads}, physical={self.physical_reads}, "
-            f"writes={self.writes}, lock_waits={self.lock_waits})"
+            f"writes={self.writes})"
         )

@@ -1,18 +1,27 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+#: the checkout this file belongs to: its CLI is the one under test
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_cli(*args, timeout=180):
+    path = [str(ROOT / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        cwd="/root/repo",
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
 
 
