@@ -218,6 +218,25 @@ class TestIntrospection:
         assert lm.total_acquisitions() == 3
         assert lm.acquisition_counts == {"S": 1, "IX": 1, "X": 1}
 
+    def test_conditional_denial_counts_no_acquisition_and_no_wait(self, lm):
+        lm.acquire("t1", R1, X)
+        assert not lm.acquire("t2", R1, S, conditional=True)
+        assert lm.acquisition_counts == {"X": 1}
+        assert lm.wait_count == 0
+
+    def test_enqueued_request_counts_one_wait(self, lm):
+        lm.acquire("t1", R1, X)
+        with pytest.raises(WouldBlock):
+            lm.acquire("t2", R1, S)
+        assert lm.wait_count == 1
+        assert lm.acquisition_counts == {"X": 1}
+
+    def test_conversion_counts_as_an_acquisition(self, lm):
+        lm.acquire("t1", R1, S)
+        lm.acquire("t1", R1, X)
+        assert lm.acquisition_counts == {"S": 1, "X": 1}
+        assert lm.total_acquisitions() == 2
+
     def test_fifo_fairness_new_request_waits_behind_queue(self, observed):
         """A grantable new request must not overtake earlier waiters."""
         lm = make_lock_manager(observed)
