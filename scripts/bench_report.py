@@ -167,12 +167,14 @@ def bench_buffer_pool(smoke: bool) -> Dict:
     tree = bulk_load(paper_spatial_dataset(n_objects, seed=11), config, pager=pager)
     for pred in _scan_predicates(n_scans, extent=0.05, seed=23):
         tree.search(pred)
-    pool = tree.pager.buffer_pool
+    stats = tree.pager.stats
+    misses = stats.physical_reads
+    hits = stats.logical_reads - misses
     return {
         "params": {"n_objects": n_objects, "n_scans": n_scans, "capacity": capacity},
-        "hits": pool.hits,
-        "misses": pool.misses,
-        "hit_rate": round(pool.hit_rate, 4),
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": round(hits / stats.logical_reads, 4) if stats.logical_reads else 0.0,
     }
 
 

@@ -78,15 +78,12 @@ class ZOrderKRLIndex(TransactionalIndex):
     def _lock_scan_interval(self, ctx: OpContext, z_lo: int, z_hi: int) -> None:
         """Commit S on every range endpoint covering [z_lo, z_hi], with
         the revalidate loop (endpoints recomputed after every wait)."""
-        while True:
-            with self.latch:
-                wants = [
-                    (range_resource(ep), S, COMMIT) for ep in self.krl.scan_endpoints(z_lo, z_hi)
-                ]
-                blocked = ctx.acquire_conditional(wants)
-                if blocked is None:
-                    return
-            ctx.wait_for(blocked)
+
+        def attempt() -> None:
+            endpoints = self.krl.scan_endpoints(z_lo, z_hi)
+            ctx.require([(range_resource(ep), S, COMMIT) for ep in endpoints])
+
+        ctx.retry(self.latch, attempt)
 
     # -- operations ------------------------------------------------------------
 
@@ -94,22 +91,20 @@ class ZOrderKRLIndex(TransactionalIndex):
         result = InsertResult()
         with self._operation(txn, result, "insert", oid) as ctx:
             key = z_encode_rect(rect, self.universe, self.bits)
-            while True:
-                with self.latch:
-                    if oid in self._directory:
-                        raise BTreeError(f"duplicate object id {oid!r}")
-                    # next-key locking: short X on the gap owner, commit X
-                    # on the new entry's own range
-                    wants = [
-                        (range_resource(self.krl.next_endpoint(key, oid)), X, SHORT),
-                        (range_resource((key, oid)), X, COMMIT),
-                    ]
-                    blocked = ctx.acquire_conditional(wants)
-                    if blocked is None:
-                        self.tree.insert(key, oid, rect)
-                        self._directory[oid] = (key, rect)
-                        break
-                ctx.wait_for(blocked)
+
+            def attempt() -> None:
+                if oid in self._directory:
+                    raise BTreeError(f"duplicate object id {oid!r}")
+                # next-key locking: short X on the gap owner, commit X on
+                # the new entry's own range
+                ctx.require([
+                    (range_resource(self.krl.next_endpoint(key, oid)), X, SHORT),
+                    (range_resource((key, oid)), X, COMMIT),
+                ])
+                self.tree.insert(key, oid, rect)
+                self._directory[oid] = (key, rect)
+
+            ctx.retry(self.latch, attempt)
             self.payloads[oid] = payload
             txn.log_undo(lambda: self._undo_insert(oid))
             txn.writes += 1
@@ -119,30 +114,30 @@ class ZOrderKRLIndex(TransactionalIndex):
     def delete(self, txn: Transaction, oid: ObjectId, rect: Rect) -> DeleteResult:
         result = DeleteResult()
         with self._operation(txn, result, "delete", oid) as ctx:
-            while True:
-                with self.latch:
-                    stored = self._directory.get(oid)
-                    if stored is None:
-                        break
-                    key, stored_rect = stored
-                    # the deleted key's gap merges into the next range:
-                    # commit X on both, so scans of the gap wait us out
-                    wants = [
-                        (range_resource((key, oid)), X, COMMIT),
-                        (range_resource(self.krl.next_endpoint(key, oid)), X, COMMIT),
-                    ]
-                    blocked = ctx.acquire_conditional(wants)
-                    if blocked is None:
-                        self.tree.delete(key, oid)
-                        del self._directory[oid]
-                        result.found = True
-                        break
-                ctx.wait_for(blocked)
-            if not result.found:
+
+            def attempt() -> Optional[tuple]:
+                stored = self._directory.get(oid)
+                if stored is None:
+                    return None
+                key = stored[0]
+                # the deleted key's gap merges into the next range: commit X
+                # on both, so scans of the gap wait us out
+                ctx.require([
+                    (range_resource((key, oid)), X, COMMIT),
+                    (range_resource(self.krl.next_endpoint(key, oid)), X, COMMIT),
+                ])
+                self.tree.delete(key, oid)
+                del self._directory[oid]
+                return stored
+
+            stored = ctx.retry(self.latch, attempt)
+            if stored is None:
                 # absent object: cover the spot it would occupy, KRL-style
                 key = z_encode_rect(rect, self.universe, self.bits)
                 self._lock_scan_interval(ctx, key, key)
                 return result
+            result.found = True
+            key, stored_rect = stored
             old_payload = self.payloads.pop(oid, None)
             txn.log_undo(lambda: self._undo_delete(oid, key, stored_rect, old_payload))
             txn.writes += 1

@@ -212,6 +212,29 @@ class TransactionalIndex:
             if txn.is_active:
                 self._end_operation(ctx)
 
+    @contextmanager
+    def _system_operation(self, name: str) -> Iterator[OpContext]:
+        """One operation in its own system transaction (the §3.7 deferred
+        delete): commit when it ends, roll back if it loses a deadlock.
+        A failure other than a deadlock still commits what was done."""
+        txn = self.txn_manager.begin(name=name)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit("txn.begin", txn=txn.txn_id, name=txn.name)
+        ctx = OpContext(self.lock_manager, txn.txn_id)
+        try:
+            yield ctx
+        except DeadlockError as exc:
+            if tracer is not None:
+                tracer.emit("txn.abort", txn=txn.txn_id, reason=f"deadlock: {exc}")
+            raise self.txn_manager.abort_and_raise(txn, f"deadlock: {exc}")
+        finally:
+            self._end_operation(ctx)
+            if txn.is_active:
+                self.txn_manager.commit(txn)
+                if tracer is not None:
+                    tracer.emit("txn.commit", txn=txn.txn_id)
+
     def _end_operation(self, ctx: OpContext) -> None:
         """Release the operation's short-duration locks."""
         self.lock_manager.end_operation(ctx.txn_id)
@@ -432,24 +455,9 @@ class PhantomProtectedRTree(TransactionalIndex):
     def run_deferred_delete(self, oid: ObjectId, rect: Rect) -> None:
         """Physically remove one committed tombstone (§3.7), as its own
         system transaction."""
-        txn = self.txn_manager.begin(name=f"vacuum-{oid}")
-        if self.tracer is not None:
-            self.tracer.emit("txn.begin", txn=txn.txn_id, name=txn.name)
-        ctx = OpContext(self.lock_manager, txn.txn_id)
-        try:
-            report = self.protocol.physical_delete(ctx, oid, rect)
-            if report is not None:
+        with self._system_operation(f"vacuum-{oid}") as ctx:
+            if self.protocol.physical_delete(ctx, oid, rect) is not None:
                 self.payloads.pop(oid, None)
-        except DeadlockError as exc:
-            if self.tracer is not None:
-                self.tracer.emit("txn.abort", txn=txn.txn_id, reason=f"deadlock: {exc}")
-            raise self.txn_manager.abort_and_raise(txn, f"deadlock: {exc}")
-        finally:
-            self.protocol.end_operation(ctx)
-            if txn.is_active:
-                self.txn_manager.commit(txn)
-                if self.tracer is not None:
-                    self.tracer.emit("txn.commit", txn=txn.txn_id)
 
     def vacuum(self, limit: Optional[int] = None) -> int:
         """Process the deferred-delete queue; returns removals performed."""

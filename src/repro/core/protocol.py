@@ -10,7 +10,8 @@ Each operation follows the same skeleton:
    where deadlock detection may abort us), then restart from step 1 --
    the tree may have moved while we slept.  Locks already granted are
    kept: commit-duration ones are needed or harmless, short-duration ones
-   die with the operation.
+   die with the operation.  Steps 1-2 are one loop,
+   :meth:`OpContext.retry`, which the K-D-B and Z-order indexes call too.
 3. **Apply**: perform the structure modification atomically (latch held;
    in the simulator there is additionally no context switch here).
 4. **Post-locks**: the locks Table 3 prescribes *after* a split or growth
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, ContextManager, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.granules import GranuleRef, GranuleSet
 from repro.core.policy import InsertionPolicy
@@ -117,20 +118,30 @@ TABLE3_REQUIRED_OBJ_MODE: dict = {
 }
 
 
+class _Blocked(Exception):
+    """A conditional lock request was refused: :meth:`OpContext.require`
+    raises it and :meth:`OpContext.retry` catches it."""
+
+    def __init__(self, want: Want) -> None:
+        super().__init__(want)
+        self.want = want
+
+
 @dataclass
 class OpContext:
     """One operation's lock record, and the lock requests every index's
     operations make through it.
 
-    Every index follows one skeleton: plan under its latch, request the
-    lock set with :meth:`acquire_conditional`, and on the first blocker
-    drop the latch, :meth:`wait_for` it, and plan again (the structure
-    may have moved while the transaction slept).  Locks taken after a
-    modification, or by an index that does not revalidate, go through
-    :meth:`acquire_all`.  What the transaction holds is the lock
-    manager's record alone (:meth:`LockManager.holds_covering`): a want
-    some held unit already covers is not requested.  The context lists
-    this operation's own grants and counts its waits."""
+    Every index follows one skeleton, :meth:`retry`: plan under its
+    latch, request the lock set with :meth:`require`, and on the first
+    refusal drop the latch, :meth:`wait_for` the refused want, and plan
+    again (the structure may have moved while the transaction slept).
+    Locks taken after a modification, or by an index that does not
+    revalidate, go through :meth:`acquire_all`.  What the transaction
+    holds is the lock manager's record alone
+    (:meth:`LockManager.holds_covering`): a want some held unit already
+    covers is not requested.  The context lists this operation's own
+    grants and counts its waits and restarts."""
 
     lm: LockManager
     txn_id: Hashable
@@ -142,10 +153,41 @@ class OpContext:
     waits: int = 0
     restarts: int = 0
 
-    def acquire_conditional(self, wants: Sequence[Want]) -> Optional[Want]:
-        """Grab what is instantly grantable; return the first blocker.
+    def retry(
+        self,
+        latch: ContextManager,
+        attempt: Callable[[], T],
+        phase: Optional[Callable[..., None]] = None,
+        tag: str = "",
+    ) -> T:
+        """The one plan--lock--wait loop: run ``attempt()`` in one hold
+        of ``latch`` until no :meth:`require` in it is refused, and
+        return its result.
 
-        Wants are requested in one global order, (namespace, key): every
+        On a refusal the latch is left, the restart counted, then
+        ``phase("restart", self, resource)`` and :meth:`wait_for` the
+        refused want run in that order, and the attempt starts over.
+        ``phase(tag, self)`` runs before every attempt."""
+        while True:
+            if phase is not None:
+                phase(tag, self)
+            with latch:
+                try:
+                    return attempt()
+                except _Blocked as blocked:
+                    want = blocked.want
+            self.restarts += 1
+            if phase is not None:
+                phase("restart", self, want[0])
+            self.wait_for(want)
+
+    def require(self, wants: Sequence[Want]) -> None:
+        """Grab the wants that are instantly grantable, inside a
+        :meth:`retry` attempt; the first refusal ends the attempt.
+
+        Call it only before the attempt mutates anything: the attempt is
+        abandoned at the refusal and runs again from the top.  Wants are
+        requested in one global order, (namespace, key): every
         transaction requesting its lock set in the same total order
         cannot deadlock with another doing the same -- waits still
         happen, cycles mostly do not."""
@@ -155,9 +197,8 @@ class OpContext:
             if lm.holds_covering(txn_id, resource, mode, duration):
                 continue
             if not lm.acquire(txn_id, resource, mode, duration, conditional=True):
-                return want
+                raise _Blocked(want)
             self.taken.append(want)
-        return None
 
     def wait_for(self, want: Want) -> None:
         """Unconditional acquisition (outside the latch).  May raise
@@ -215,16 +256,6 @@ class GranuleLockProtocol:
     def end_operation(self, ctx: OpContext) -> None:
         """Release the operation's short-duration locks."""
         self.lm.end_operation(ctx.txn_id)
-
-    def _restart(self, ctx: OpContext, blocked: Optional[Want] = None) -> None:
-        """One operation restart (outside the latch): count it and yield.
-
-        ``blocked`` is the lock want that forced the restart; its resource
-        travels with the yield so observers see *why* the operation is
-        starting over.
-        """
-        ctx.restarts += 1
-        self._yield("restart", ctx, blocked[0] if blocked is not None else None)
 
     def _yield(self, tag: str, ctx: OpContext, resource: Optional[ResourceId] = None) -> None:
         sink = self.obs_sink
@@ -287,18 +318,15 @@ class GranuleLockProtocol:
     ) -> T:
         """Commit-duration S locks on every granule overlapping the
         predicate; once all are granted, return ``then(refs)`` evaluated in
-        the same latch hold.  A blocked want restarts the loop, which
+        the same latch hold.  A refused want restarts the attempt, which
         recomputes the granules."""
-        while True:
-            self._yield("scan", ctx)
-            with self.latch:
-                refs = self.granules.overlapping(predicate)
-                wants: List[Want] = [(ref.resource, S, COMMIT) for ref in refs]
-                blocked = ctx.acquire_conditional(wants)
-                if blocked is None:
-                    return then(refs)
-            self._restart(ctx, blocked)
-            ctx.wait_for(blocked)
+
+        def attempt() -> T:
+            refs = self.granules.overlapping(predicate)
+            ctx.require([(ref.resource, S, COMMIT) for ref in refs])
+            return then(refs)
+
+        return ctx.retry(self.latch, attempt, self._yield, "scan")
 
     def lock_scan(self, ctx: OpContext, predicate: Rect) -> List[GranuleRef]:
         """Commit-duration S locks on every granule overlapping the predicate."""
@@ -324,23 +352,16 @@ class GranuleLockProtocol:
     # ------------------------------------------------------------------
 
     def lock_update_scan(self, ctx: OpContext, predicate: Rect) -> List[LeafEntry]:
-        while True:
-            self._yield("update_scan", ctx)
-            with self.latch:
-                cover, rest = self.granules.covering(predicate)
-                wants: List[Want] = [(ref.resource, SIX, COMMIT) for ref in cover]
-                wants += [(ref.resource, S, COMMIT) for ref in rest]
-                blocked = ctx.acquire_conditional(wants)
-                if blocked is None:
-                    matches = self._read_leaf_granules(cover + rest, predicate)
-                    object_wants: List[Want] = [
-                        (ResourceId.obj(e.oid), X, COMMIT) for e in matches
-                    ]
-                    blocked = ctx.acquire_conditional(object_wants)
-                    if blocked is None:
-                        return matches
-            self._restart(ctx, blocked)
-            ctx.wait_for(blocked)
+        def attempt() -> List[LeafEntry]:
+            cover, rest = self.granules.covering(predicate)
+            wants: List[Want] = [(ref.resource, SIX, COMMIT) for ref in cover]
+            wants += [(ref.resource, S, COMMIT) for ref in rest]
+            ctx.require(wants)
+            matches = self._read_leaf_granules(cover + rest, predicate)
+            ctx.require([(ResourceId.obj(e.oid), X, COMMIT) for e in matches])
+            return matches
+
+        return ctx.retry(self.latch, attempt, self._yield, "update_scan")
 
     # ------------------------------------------------------------------
     # ReadSingle / UpdateSingle
@@ -352,40 +373,36 @@ class GranuleLockProtocol:
         A ReadSingle that finds nothing takes no locks and gets no
         stability guarantee -- exactly the paper's contract.
         """
-        while True:
-            self._yield("read_single", ctx)
-            with self.latch:
-                located = self.tree.find_entry(oid, rect)
-                if located is None:
-                    return None
-                _leaf_id, entry = located
-                want: Want = (ResourceId.obj(oid), S, COMMIT)
-                blocked = ctx.acquire_conditional([want])
-                if blocked is None:
-                    # The S lock excludes writers, so the tombstone state
-                    # we see now is settled.
-                    return None if entry.tombstone else entry
-            self._restart(ctx, blocked)
-            ctx.wait_for(blocked)
+
+        def attempt() -> Optional[LeafEntry]:
+            located = self.tree.find_entry(oid, rect)
+            if located is None:
+                return None
+            _leaf_id, entry = located
+            ctx.require([(ResourceId.obj(oid), S, COMMIT)])
+            # The S lock excludes writers, so the tombstone state we see
+            # now is settled.
+            return None if entry.tombstone else entry
+
+        return ctx.retry(self.latch, attempt, self._yield, "read_single")
 
     def lock_update_single(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> Optional[LeafEntry]:
         """Table 3: IX on the granule containing the object, X on the object."""
-        while True:
-            self._yield("update_single", ctx)
-            with self.latch:
-                located = self.tree.find_entry(oid, rect)
-                if located is None:
-                    return None
-                leaf_id, entry = located
-                wants: List[Want] = [
-                    (self.granules.leaf_name(leaf_id), IX, COMMIT),
-                    (ResourceId.obj(oid), X, COMMIT),
-                ]
-                blocked = ctx.acquire_conditional(wants)
-                if blocked is None:
-                    return None if entry.tombstone else entry
-            self._restart(ctx, blocked)
-            ctx.wait_for(blocked)
+
+        def attempt() -> Optional[LeafEntry]:
+            located = self.tree.find_entry(oid, rect)
+            if located is None:
+                return None
+            leaf_id, entry = located
+            ctx.require(self._object_wants(leaf_id, oid))
+            return None if entry.tombstone else entry
+
+        return ctx.retry(self.latch, attempt, self._yield, "update_single")
+
+    def _object_wants(self, leaf_id: PageId, oid: ObjectId) -> List[Want]:
+        """Commit IX on the object's granule and commit X on the object:
+        the Table 3 locks of every write that finds its object in place."""
+        return [(self.granules.leaf_name(leaf_id), IX, COMMIT), (ResourceId.obj(oid), X, COMMIT)]
 
     # ------------------------------------------------------------------
     # Insert (§3.3 -- §3.5)
@@ -409,41 +426,33 @@ class GranuleLockProtocol:
         the caller arms its undo action there, so an abort between the
         modification and the post-split locks still rolls the object back.
         """
-        while True:
-            self._yield("insert", ctx)
-            with self.latch:
-                located = self.tree.find_entry(oid, rect)
-                if located is not None:
-                    leaf_id, entry = located
-                    wants: List[Want] = [
-                        (self.granules.leaf_name(leaf_id), IX, COMMIT),
-                        (ResourceId.obj(oid), X, COMMIT),
-                    ]
-                    blocked = ctx.acquire_conditional(wants)
-                    if blocked is None:
-                        # The X lock settles the tombstone state: an active
-                        # deleter would still hold its own X on the object.
-                        if not entry.tombstone:
-                            raise RTreeError(f"duplicate object id {oid!r}")
-                        self.tree.set_tombstone(oid, rect, False, located)
-                        if on_applied is not None:
-                            on_applied()
-                        return None, SMOReport(target_leaf=leaf_id)
-                else:
-                    plan = self.tree.plan_insert(rect)
-                    wants = self._insert_wants(ctx, plan, oid, rect)
-                    blocked = ctx.acquire_conditional(wants)
-                    if blocked is None:
-                        inherit_from = self._highest_inherited_ext(ctx, plan)
-                        # The locate above found no entry for the object
-                        # in this latch hold: the tree inserts along the plan.
-                        report = self.tree.insert(oid, rect, plan)
-                        if on_applied is not None:
-                            on_applied()
-                        post = self._post_insert_wants(ctx, plan, report, inherit_from)
-                        break
-            self._restart(ctx, blocked)
-            ctx.wait_for(blocked)
+
+        def attempt() -> Tuple[Optional[InsertPlan], SMOReport, List[Want]]:
+            located = self.tree.find_entry(oid, rect)
+            if located is not None:
+                leaf_id, entry = located
+                ctx.require(self._object_wants(leaf_id, oid))
+                # The X lock settles the tombstone state: an active deleter
+                # would still hold its own X on the object.
+                if not entry.tombstone:
+                    raise RTreeError(f"duplicate object id {oid!r}")
+                self.tree.set_tombstone(oid, rect, False, located)
+                if on_applied is not None:
+                    on_applied()
+                return None, SMOReport(target_leaf=leaf_id), []
+            plan = self.tree.plan_insert(rect)
+            ctx.require(self._insert_wants(ctx, plan, oid, rect))
+            inherit_from = self._highest_inherited_ext(ctx, plan)
+            # The locate above found no entry for the object in this latch
+            # hold: the tree inserts along the plan.
+            report = self.tree.insert(oid, rect, plan)
+            if on_applied is not None:
+                on_applied()
+            return plan, report, self._post_insert_wants(ctx, plan, report, inherit_from)
+
+        plan, report, post = ctx.retry(self.latch, attempt, self._yield, "insert")
+        if plan is None:  # a revival: no geometry moved
+            return None, report
         self._trace_report(ctx, report)
         # Post-mutation locks: taken outside the latch because they may
         # wait on transactions already active inside the granule.
@@ -596,41 +605,29 @@ class GranuleLockProtocol:
         overlapping the object, "just like a ReadScan with the object as
         the scan predicate", so nobody can insert it while we are active.
         """
-        scanned_absent = False
-        while True:
-            self._yield("delete", ctx)
-            blocked: Optional[Want] = None
-            with self.latch:
-                located = self.tree.find_entry(oid, rect)
-                if located is not None:
-                    leaf_id, entry = located
-                    wants: List[Want] = [
-                        (self.granules.leaf_name(leaf_id), IX, COMMIT),
-                        (ResourceId.obj(oid), X, COMMIT),
-                    ]
-                    blocked = ctx.acquire_conditional(wants)
-                    if blocked is None:
-                        if entry.tombstone:
-                            # Logically deleted by a committed transaction
-                            # whose physical delete has not run yet: the
-                            # object does not logically exist.
-                            located = None
-                        else:
-                            self.tree.set_tombstone(oid, rect, True, located)
-                            return leaf_id
-                if located is None and scanned_absent:
-                    # The S locks from the previous iteration are held and
-                    # the object (still) does not exist: done.
-                    return None
-            if blocked is not None:
-                self._restart(ctx, blocked)
-                ctx.wait_for(blocked)
-                continue
+
+        def attempt() -> Optional[PageId]:
+            located = self.tree.find_entry(oid, rect)
+            if located is None:
+                return None
+            leaf_id, entry = located
+            ctx.require(self._object_wants(leaf_id, oid))
+            if entry.tombstone:
+                # Logically deleted by a committed transaction whose
+                # physical delete has not run yet: the object does not
+                # logically exist.
+                return None
+            self.tree.set_tombstone(oid, rect, True, located)
+            return leaf_id
+
+        leaf_id = ctx.retry(self.latch, attempt, self._yield, "delete")
+        if leaf_id is None:
             # Object absent: take S on all granules overlapping it ("just
             # like a ReadScan with the object as the scan predicate"), then
             # re-check -- somebody may have inserted it while we waited.
             self.lock_scan(ctx, rect)
-            scanned_absent = True
+            leaf_id = ctx.retry(self.latch, attempt, self._yield, "delete")
+        return leaf_id
 
     # ------------------------------------------------------------------
     # Deferred physical delete (§3.7) -- run by a maintenance transaction
@@ -639,42 +636,41 @@ class GranuleLockProtocol:
     def physical_delete(self, ctx: OpContext, oid: ObjectId, rect: Rect) -> Optional[SMOReport]:
         """Remove a (committed) tombstone from the tree, per Table 3's
         "Delete (Deferred)" row.  Returns ``None`` if the entry is gone."""
-        while True:
-            self._yield("physical_delete", ctx)
-            with self.latch:
-                plan = self.tree.plan_delete(oid, rect)
-                if plan is None:
-                    return None  # gone already
-                entry = self.tree.node(plan.leaf_id, count_io=False).find_entry(oid)
-                assert entry is not None
-                if not entry.tombstone:
-                    # *Revived* by a re-insertion of the same object after
-                    # the deleter committed: nothing to reclaim.
-                    return None
-                wants: List[Want] = []
-                leaf_res = self.granules.leaf_name(plan.leaf_id)
-                if plan.underflows:
-                    # Node elimination destroys the granule: the SIX lock
-                    # fences even IX holders (§3.7).
-                    wants.append((leaf_res, SIX, SHORT))
-                else:
-                    wants.append((leaf_res, IX, SHORT))
-                wants.append((ResourceId.obj(oid), X, COMMIT))
-                for page_id in plan.changed_external_parents:
-                    wants.append((self.granules.ext_name(page_id), SIX, SHORT))
-                # Table 3's "locks for reinsertion of orphan entries":
-                # short IX on every granule overlapping an orphan's
-                # rectangle fences scanners of those regions until every
-                # orphan is back in the tree.
-                for orphan_rect in plan.orphan_rects:
-                    for ref in self.granules.overlapping(orphan_rect):
-                        wants.append((ref.resource, IX, SHORT))
-                blocked = ctx.acquire_conditional(wants)
-                if blocked is None:
-                    report = self.tree.delete(oid, rect, collect_orphans=True, plan=plan)
-                    break
-            self._restart(ctx, blocked)
-            ctx.wait_for(blocked)
+
+        def attempt() -> Optional[SMOReport]:
+            plan = self.tree.plan_delete(oid, rect)
+            if plan is None:
+                return None  # gone already
+            entry = self.tree.node(plan.leaf_id, count_io=False).find_entry(oid)
+            assert entry is not None
+            if not entry.tombstone:
+                # *Revived* by a re-insertion of the same object after the
+                # deleter committed: nothing to reclaim.
+                return None
+            wants: List[Want] = []
+            leaf_res = self.granules.leaf_name(plan.leaf_id)
+            if plan.underflows:
+                # Node elimination destroys the granule: the SIX lock
+                # fences even IX holders (§3.7).
+                wants.append((leaf_res, SIX, SHORT))
+            else:
+                wants.append((leaf_res, IX, SHORT))
+            wants.append((ResourceId.obj(oid), X, COMMIT))
+            for page_id in plan.changed_external_parents:
+                wants.append((self.granules.ext_name(page_id), SIX, SHORT))
+            # Table 3's "locks for reinsertion of orphan entries": short IX
+            # on every granule overlapping an orphan's rectangle fences
+            # scanners of those regions until every orphan is back in the
+            # tree.
+            for orphan_rect in plan.orphan_rects:
+                for ref in self.granules.overlapping(orphan_rect):
+                    wants.append((ref.resource, IX, SHORT))
+            ctx.require(wants)
+            return self.tree.delete(oid, rect, collect_orphans=True, plan=plan)
+
+        report = ctx.retry(self.latch, attempt, self._yield, "physical_delete")
+        if report is None:
+            return None
         # Trace the main modification now: the orphan re-insertions below
         # trace their own sub-reports before they are merged in.
         self._trace_report(ctx, report)
@@ -712,29 +708,26 @@ class GranuleLockProtocol:
         is taken -- the object's content is untouched, only its location
         changes.
         """
-        while True:
-            self._yield("reinsert", ctx)
-            with self.latch:
-                plan = self.tree.plan_insert(entry.rect, target_level=target_level)
-                wants: List[Want] = []
-                if target_level == 0:
-                    target_res = self.granules.leaf_name(plan.leaf_id)
-                    wants.append((target_res, SIX if plan.leaf_splits else IX, SHORT))
-                else:
-                    target_res = self.granules.ext_name(plan.leaf_id)
-                    wants.append((target_res, SIX, SHORT))
-                for ref in self._policy_overlap_set(ctx, plan, entry.rect):
-                    if ref.resource != target_res:
-                        wants.append((ref.resource, IX, SHORT))
-                for page_id in plan.changed_external_parents:
-                    wants.append((self.granules.ext_name(page_id), SIX, SHORT))
-                blocked = ctx.acquire_conditional(wants)
-                if blocked is None:
-                    report = self.tree.reinsert_entry(entry, target_level, plan)
-                    post = self._post_insert_wants(ctx, plan, report, None)
-                    break
-            self._restart(ctx, blocked)
-            ctx.wait_for(blocked)
+
+        def attempt() -> Tuple[InsertPlan, SMOReport, List[Want]]:
+            plan = self.tree.plan_insert(entry.rect, target_level=target_level)
+            wants: List[Want] = []
+            if target_level == 0:
+                target_res = self.granules.leaf_name(plan.leaf_id)
+                wants.append((target_res, SIX if plan.leaf_splits else IX, SHORT))
+            else:
+                target_res = self.granules.ext_name(plan.leaf_id)
+                wants.append((target_res, SIX, SHORT))
+            for ref in self._policy_overlap_set(ctx, plan, entry.rect):
+                if ref.resource != target_res:
+                    wants.append((ref.resource, IX, SHORT))
+            for page_id in plan.changed_external_parents:
+                wants.append((self.granules.ext_name(page_id), SIX, SHORT))
+            ctx.require(wants)
+            report = self.tree.reinsert_entry(entry, target_level, plan)
+            return plan, report, self._post_insert_wants(ctx, plan, report, None)
+
+        plan, report, post = ctx.retry(self.latch, attempt, self._yield, "reinsert")
         self._trace_report(ctx, report)
         if target_level > 0 and self.obs_sink is not None:
             # Child-entry re-insertions produce no ReinsertRecord (those

@@ -19,16 +19,15 @@ only node splits carve them), the granular protocol collapses to:
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.concurrency.history import OpKind
 from repro.core.index import DeleteResult, InsertResult, ScanResult, SingleResult
 from repro.core.index import TransactionalIndex
 from repro.core.maintenance import DeferredDeleteQueue
-from repro.core.protocol import OpContext
+from repro.core.protocol import OpContext, Want
 from repro.geometry import Rect
 from repro.kdbtree.tree import KDBConfig, KDBError, KDBTree
-from repro.lock.manager import DeadlockError
 from repro.lock.modes import LockDuration, LockMode
 from repro.lock.resource import ResourceId
 from repro.txn import Transaction
@@ -37,6 +36,11 @@ S, X, IX, SIX = LockMode.S, LockMode.X, LockMode.IX, LockMode.SIX
 SHORT, COMMIT = LockDuration.SHORT, LockDuration.COMMIT
 
 Point = Sequence[float]
+
+
+def _object_wants(leaf_id: int, oid: Any) -> List[Want]:
+    """Commit IX on the object's region and commit X on the object."""
+    return [(ResourceId.leaf(leaf_id), IX, COMMIT), (ResourceId.obj(oid), X, COMMIT)]
 
 
 class KDBPhantomIndex(TransactionalIndex):
@@ -53,42 +57,35 @@ class KDBPhantomIndex(TransactionalIndex):
     def insert(self, txn: Transaction, oid: Any, point: Point, payload: Any = None) -> InsertResult:
         result = InsertResult()
         with self._operation(txn, result, "insert", oid) as ctx:
-            while True:
-                with self.latch:
-                    located = self.tree.find_entry(oid, point)
-                    if located is not None:
-                        leaf_id, entry = located
-                        wants = [
-                            (ResourceId.leaf(leaf_id), IX, COMMIT),
-                            (ResourceId.obj(oid), X, COMMIT),
-                        ]
-                        blocked = ctx.acquire_conditional(wants)
-                        if blocked is None:
-                            if not entry.tombstone:
-                                raise KDBError(f"duplicate object id {oid!r}")
-                            self.tree.set_tombstone(oid, point, False)  # revival
-                            break
-                    else:
-                        plan = self.tree.plan_insert(point)
-                        wants = [(ResourceId.obj(oid), X, COMMIT)]
-                        if plan.will_split:
-                            # fence the S holders of every region the split
-                            # cascade will carve
-                            for leaf_id in plan.splitting_leaves:
-                                wants.append((ResourceId.leaf(leaf_id), SIX, SHORT))
-                        else:
-                            wants.append((ResourceId.leaf(plan.leaf_id), IX, COMMIT))
-                        blocked = ctx.acquire_conditional(wants)
-                        if blocked is None:
-                            self.tree.insert(oid, point)
-                            if plan.will_split:
-                                # the point's containing half: either a page we
-                                # hold SIX on, or a brand-new one -- never blocks
-                                home = self.tree.leaf_for(point)
-                                ctx.acquire_all([(ResourceId.leaf(home.page_id), IX, COMMIT)])
-                            result.changed_boundaries = plan.will_split
-                            break
-                ctx.wait_for(blocked)
+
+            def attempt() -> None:
+                located = self.tree.find_entry(oid, point)
+                if located is not None:
+                    leaf_id, entry = located
+                    ctx.require(_object_wants(leaf_id, oid))
+                    if not entry.tombstone:
+                        raise KDBError(f"duplicate object id {oid!r}")
+                    self.tree.set_tombstone(oid, point, False)  # revival
+                    return
+                plan = self.tree.plan_insert(point)
+                wants = [(ResourceId.obj(oid), X, COMMIT)]
+                if plan.will_split:
+                    # fence the S holders of every region the split cascade
+                    # will carve
+                    for leaf_id in plan.splitting_leaves:
+                        wants.append((ResourceId.leaf(leaf_id), SIX, SHORT))
+                else:
+                    wants.append((ResourceId.leaf(plan.leaf_id), IX, COMMIT))
+                ctx.require(wants)
+                self.tree.insert(oid, point)
+                if plan.will_split:
+                    # the point's containing half: either a page we hold SIX
+                    # on, or a brand-new one -- never blocks
+                    home = self.tree.leaf_for(point)
+                    ctx.acquire_all([(ResourceId.leaf(home.page_id), IX, COMMIT)])
+                result.changed_boundaries = plan.will_split
+
+            ctx.retry(self.latch, attempt)
             self.payloads[oid] = payload
             txn.log_undo(lambda: self._undo_insert(oid, point))
             txn.writes += 1
@@ -98,33 +95,24 @@ class KDBPhantomIndex(TransactionalIndex):
     def delete(self, txn: Transaction, oid: Any, point: Point) -> DeleteResult:
         result = DeleteResult()
         with self._operation(txn, result, "delete", oid) as ctx:
-            scanned_absent = False
-            while True:
-                blocked = None
-                with self.latch:
-                    located = self.tree.find_entry(oid, point)
-                    if located is not None:
-                        leaf_id, entry = located
-                        wants = [
-                            (ResourceId.leaf(leaf_id), IX, COMMIT),
-                            (ResourceId.obj(oid), X, COMMIT),
-                        ]
-                        blocked = ctx.acquire_conditional(wants)
-                        if blocked is None:
-                            if entry.tombstone:
-                                located = None
-                            else:
-                                self.tree.set_tombstone(oid, point, True)
-                                result.found = True
-                                break
-                    if located is None and scanned_absent:
-                        break
-                if blocked is not None:
-                    ctx.wait_for(blocked)
-                    continue
-                # absent object: S on the region that would contain it
+
+            def attempt() -> bool:
+                located = self.tree.find_entry(oid, point)
+                if located is None:
+                    return False
+                leaf_id, entry = located
+                ctx.require(_object_wants(leaf_id, oid))
+                if entry.tombstone:
+                    return False
+                self.tree.set_tombstone(oid, point, True)
+                return True
+
+            result.found = ctx.retry(self.latch, attempt)
+            if not result.found:
+                # absent object: S on the region that would contain it,
+                # then look again -- it may have been inserted meanwhile
                 self._lock_scan(ctx, Rect.from_point(point))
-                scanned_absent = True
+                result.found = ctx.retry(self.latch, attempt)
             if result.found:
                 txn.log_undo(lambda: self.tree.set_tombstone(oid, point, False))
                 txn.on_commit(lambda: self.deferred.enqueue(oid, tuple(point)))
@@ -135,21 +123,19 @@ class KDBPhantomIndex(TransactionalIndex):
     def read_single(self, txn: Transaction, oid: Any, point: Point) -> SingleResult:
         result = SingleResult()
         with self._operation(txn, result, "read_single", oid) as ctx:
-            while True:
-                with self.latch:
-                    located = self.tree.find_entry(oid, point)
-                    if located is None:
-                        break
-                    _leaf_id, entry = located
-                    want = (ResourceId.obj(oid), S, COMMIT)
-                    blocked = ctx.acquire_conditional([want])
-                    if blocked is None:
-                        if not entry.tombstone:
-                            result.found = True
-                            result.rect = Rect.from_point(entry.point)
-                            result.payload = self.payloads.get(oid)
-                        break
-                ctx.wait_for(blocked)
+
+            def attempt() -> None:
+                located = self.tree.find_entry(oid, point)
+                if located is None:
+                    return
+                _leaf_id, entry = located
+                ctx.require([(ResourceId.obj(oid), S, COMMIT)])
+                if not entry.tombstone:
+                    result.found = True
+                    result.rect = Rect.from_point(entry.point)
+                    result.payload = self.payloads.get(oid)
+
+            ctx.retry(self.latch, attempt)
             txn.reads += 1
             self._record(
                 txn, OpKind.READ_SINGLE, oid=oid, rect=Rect.from_point(point),
@@ -173,28 +159,23 @@ class KDBPhantomIndex(TransactionalIndex):
     def update_single(self, txn: Transaction, oid: Any, point: Point, payload: Any) -> SingleResult:
         result = SingleResult()
         with self._operation(txn, result, "update_single", oid) as ctx:
-            while True:
-                with self.latch:
-                    located = self.tree.find_entry(oid, point)
-                    if located is None:
-                        break
-                    leaf_id, entry = located
-                    wants = [
-                        (ResourceId.leaf(leaf_id), IX, COMMIT),
-                        (ResourceId.obj(oid), X, COMMIT),
-                    ]
-                    blocked = ctx.acquire_conditional(wants)
-                    if blocked is None:
-                        if not entry.tombstone:
-                            old = self.payloads.get(oid)
-                            self.payloads[oid] = payload
-                            txn.log_undo(lambda: self.payloads.__setitem__(oid, old))
-                            result.found = True
-                            result.rect = Rect.from_point(entry.point)
-                            result.payload = payload
-                            txn.writes += 1
-                        break
-                ctx.wait_for(blocked)
+
+            def attempt() -> None:
+                located = self.tree.find_entry(oid, point)
+                if located is None:
+                    return
+                leaf_id, entry = located
+                ctx.require(_object_wants(leaf_id, oid))
+                if not entry.tombstone:
+                    old = self.payloads.get(oid)
+                    self.payloads[oid] = payload
+                    txn.log_undo(lambda: self.payloads.__setitem__(oid, old))
+                    result.found = True
+                    result.rect = Rect.from_point(entry.point)
+                    result.payload = payload
+                    txn.writes += 1
+
+            ctx.retry(self.latch, attempt)
             self._record(
                 txn, OpKind.UPDATE_SINGLE, oid=oid, rect=Rect.from_point(point),
                 result=(oid,) if result.found else (),
@@ -202,45 +183,32 @@ class KDBPhantomIndex(TransactionalIndex):
         return result
 
     def _lock_scan(self, ctx: OpContext, predicate: Rect) -> None:
-        while True:
-            with self.latch:
-                leaf_ids = self.tree.overlapping_leaf_ids(predicate)
-                wants = [(ResourceId.leaf(lid), S, COMMIT) for lid in leaf_ids]
-                blocked = ctx.acquire_conditional(wants)
-                if blocked is None:
-                    return
-            ctx.wait_for(blocked)
+        def attempt() -> None:
+            leaf_ids = self.tree.overlapping_leaf_ids(predicate)
+            ctx.require([(ResourceId.leaf(lid), S, COMMIT) for lid in leaf_ids])
+
+        ctx.retry(self.latch, attempt)
 
     # -- maintenance --------------------------------------------------------------
 
     def run_deferred_delete(self, oid: Any, point: Point) -> None:
         """§3.7 for space partitioning: a short IX on the region and the
         object X -- nothing else, because regions never move."""
-        txn = self.txn_manager.begin(name=f"kdb-vacuum-{oid}")
-        ctx = OpContext(self.lock_manager, txn.txn_id)
-        try:
-            while True:
-                with self.latch:
-                    located = self.tree.find_entry(oid, point)
-                    if located is None or not located[1].tombstone:
-                        break
-                    leaf_id, _entry = located
-                    wants = [
-                        (ResourceId.leaf(leaf_id), IX, SHORT),
-                        (ResourceId.obj(oid), X, COMMIT),
-                    ]
-                    blocked = ctx.acquire_conditional(wants)
-                    if blocked is None:
-                        self.tree.delete(oid, point)
-                        self.payloads.pop(oid, None)
-                        break
-                ctx.wait_for(blocked)
-        except DeadlockError as exc:
-            raise self.txn_manager.abort_and_raise(txn, f"deadlock: {exc}")
-        finally:
-            self.lock_manager.end_operation(txn.txn_id)
-            if txn.is_active:
-                self.txn_manager.commit(txn)
+        with self._system_operation(f"kdb-vacuum-{oid}") as ctx:
+
+            def attempt() -> None:
+                located = self.tree.find_entry(oid, point)
+                if located is None or not located[1].tombstone:
+                    return
+                leaf_id, _entry = located
+                ctx.require([
+                    (ResourceId.leaf(leaf_id), IX, SHORT),
+                    (ResourceId.obj(oid), X, COMMIT),
+                ])
+                self.tree.delete(oid, point)
+                self.payloads.pop(oid, None)
+
+            ctx.retry(self.latch, attempt)
 
     def vacuum(self, limit: Optional[int] = None) -> int:
         return self.deferred.run(self, limit)

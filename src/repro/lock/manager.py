@@ -511,8 +511,11 @@ class LockManager:
             # already participates in the granted group; queueing it behind
             # new requests would deadlock instantly).
             return True
-        # Fairness: a brand-new request must not overtake waiters.
-        return not head.queue
+        # Fairness: a brand-new request must not overtake waiters -- except
+        # conversions it is compatible with, which wait on holders only (a
+        # wait behind them would have no waits-for edge).
+        queue = head.queue
+        return not queue or all(r.conversion and compatible(mode, r.mode) for r in queue)
 
     def _grant(
         self,

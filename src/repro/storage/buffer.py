@@ -32,8 +32,6 @@ class BufferPool:
         self.capacity = capacity
         self.stats = stats if stats is not None else IOStats()
         self._frames: "OrderedDict[PageId, Page]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         #: observability tracer (see :mod:`repro.obs`): misses -- the
         #: physical reads the paper counts -- are emitted as
         #: ``buffer.miss`` events; hits stay untraced (volume).  ``None``
@@ -43,7 +41,6 @@ class BufferPool:
     def fetch(self, page: Page) -> Page:
         """Route a page access through the pool, recording hit/miss."""
         if not self.capacity:
-            self.misses += 1
             self.stats.record_read(hit=False)
             if self.tracer is not None:
                 self.tracer.emit("buffer.miss", page=page.page_id)
@@ -56,10 +53,8 @@ class BufferPool:
         except KeyError:
             pass
         else:
-            self.hits += 1
             self.stats.record_read(hit=True)
             return page
-        self.misses += 1
         self.stats.record_read(hit=False)
         if self.tracer is not None:
             self.tracer.emit("buffer.miss", page=pid)
@@ -74,20 +69,13 @@ class BufferPool:
 
     def clear(self) -> None:
         self._frames.clear()
-        self.hits = 0
-        self.misses = 0
 
     def resident(self) -> Dict[PageId, Page]:
         return dict(self._frames)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self._frames)
 
     def __repr__(self) -> str:
         cap = "∞" if self.capacity is None else self.capacity
-        return f"BufferPool(capacity={cap}, resident={len(self._frames)}, hit_rate={self.hit_rate:.2f})"
+        return f"BufferPool(capacity={cap}, resident={len(self._frames)})"

@@ -186,3 +186,45 @@ class TestFifoBarrier:
         assert outcome == {"t1": "victim", "t2": "ok", "t3": "ok"}
         assert lm.deadlock_count == 1
         assert lm.outstanding() == (0, 0)
+
+
+class TestQueuedConversionsOnly:
+    """A new request that conflicts with no holder is granted at once when
+    every waiter is a conversion it is compatible with: it has nobody to
+    wait for, so a queued wait there would have no waits-for edge."""
+
+    def test_compatible_request_passes_and_incompatible_one_queues(self, observed):
+        from repro.concurrency import SimulatedWait, Simulator
+
+        IS, IX, SIX = LockMode.IS, LockMode.IX, LockMode.SIX
+        sim = Simulator()
+        lm = make_lock_manager(observed, wait_strategy=SimulatedWait(sim, strict=True))
+        seen = {}
+
+        def t1():
+            lm.acquire("t1", R1, IX)
+            sim.checkpoint(1.0)
+            lm.acquire("t1", R1, SIX)  # a conversion, blocked by t2's IX
+            seen["t1"] = sim.clock
+            lm.release_all("t1")
+
+        def t2():
+            lm.acquire("t2", R1, IX)
+            sim.checkpoint(5.0)
+            lm.release_all("t2")
+
+        def t3():
+            sim.checkpoint(2.0)
+            seen["t3 IS"] = lm.acquire("t3", R1, IS, conditional=True)
+            seen["t4 IX"] = lm.acquire("t4", R1, IX, conditional=True)
+            lm.release_all("t3")
+
+        sim.spawn("t1", t1)
+        sim.spawn("t2", t2)
+        sim.spawn("t3", t3)
+        sim.run()
+        sim.raise_process_errors()
+        # IS passes the queued SIX conversion; IX (which SIX excludes) does
+        # not overtake it, although it conflicts with no holder.
+        assert seen == {"t3 IS": True, "t4 IX": False, "t1": 5.0}
+        assert lm.outstanding() == (0, 0)

@@ -18,13 +18,11 @@ from repro.lock.manager import _resource_order
 from repro.lock.modes import LockDuration, compatible
 from repro.lock.resource import Namespace
 
-#: IS is left out: a new IS request compatible with every holder and
-#: every waiter still queues behind blocked conversions, and only the
-#: next release on that resource grants it, a wait the waits-for graph
-#: does not draw, so a cycle through it is never detected.  Among the
-#: other four modes no request can be in that position, and no index
-#: requests IS.
-MODES = (LockMode.IX, LockMode.S, LockMode.SIX, LockMode.X)
+#: IS is the one mode a new request can conflict with no holder while
+#: every waiter ahead of it is a conversion it is compatible with; such
+#: a request is granted at once.  Queued instead, it waited with no
+#: waits-for edge, and seeds 34 and 38 ended with every client blocked.
+MODES = (LockMode.IS, LockMode.IX, LockMode.S, LockMode.SIX, LockMode.X)
 
 
 def reference_graph(lm):
@@ -125,7 +123,7 @@ def run_seed(seed, clients=8, hot=6, idle=40, steps=14):
     return lm, checker
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", [*range(6), 34, 38])
 def test_waiter_index_matches_brute_force(seed):
     lm, checker = run_seed(seed)
     assert checker.events.get("lock.enqueue", 0) > 0

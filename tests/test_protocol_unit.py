@@ -2,8 +2,10 @@
 construction) -- the integration suite covers behaviour; these cover the
 small pure functions directly."""
 
+import pytest
+
 from repro.core import InsertionPolicy, PhantomProtectedRTree
-from repro.core.protocol import SHORT, COMMIT, GranuleLockProtocol, OpContext
+from repro.core.protocol import SHORT, COMMIT, GranuleLockProtocol, OpContext, _Blocked
 from repro.geometry import Rect
 from repro.lock.manager import LockManager
 from repro.lock.modes import LockMode
@@ -34,9 +36,9 @@ class TestShortFenceReacquired:
         lm, protocol = _protocol()
         ctx = OpContext(lm, "t")
         want = (self.RES, SIX, SHORT)
-        assert ctx.acquire_conditional([want]) is None
+        ctx.require([want])
         protocol.end_operation(ctx)
-        assert ctx.acquire_conditional([want]) is None
+        ctx.require([want])
         assert ctx.taken == [want, want]
         assert lm.locks_of("t") == {self.RES: {(SIX, SHORT): 1}}
 
@@ -45,30 +47,69 @@ class TestShortFenceReacquired:
         # short locks before the protocol restarts it.
         lm, protocol = _protocol()
         ctx = OpContext(lm, "t")
-        want = (self.RES, IX, SHORT)
-        assert ctx.acquire_conditional([want]) is None
-        lm.end_operation("t")
-        protocol._restart(ctx)
+        fence = (self.RES, IX, SHORT)
+        obj = (ResourceId.obj("o"), X, COMMIT)
+        assert lm.acquire("u", obj[0], S, COMMIT)  # refuses the first attempt
+
+        def phase(tag, _ctx, resource=None):
+            if tag == "restart":
+                lm.end_operation("t")  # the fence goes, out of band
+                lm.release_all("u")  # the wait that follows is granted at once
+
+        def attempt():
+            ctx.require([fence, obj])
+            return "applied"
+
+        assert ctx.retry(protocol.latch, attempt, phase, "op") == "applied"
         assert ctx.restarts == 1
-        assert ctx.acquire_conditional([want]) is None
-        assert ctx.taken == [want, want]
-        assert lm.locks_of("t") == {self.RES: {(IX, SHORT): 1}}
+        assert ctx.waits == 1
+        assert ctx.taken == [fence, obj, fence]
+        assert lm.locks_of("t") == {self.RES: {(IX, SHORT): 1}, obj[0]: {(X, COMMIT): 1}}
 
     def test_covered_want_in_the_same_pass_is_skipped(self):
         lm, protocol = _protocol()
         ctx = OpContext(lm, "t")
         six = (self.RES, SIX, COMMIT)
-        assert ctx.acquire_conditional([six, (self.RES, S, SHORT)]) is None
+        ctx.require([six, (self.RES, S, SHORT)])
         assert ctx.taken == [six]
         assert lm.locks_of("t") == {self.RES: {(SIX, COMMIT): 1}}
 
     def test_restart_fires_obs_sink(self):
+        # The restart yield carries the refused want's resource and comes
+        # before the wait: the sink releases the blocker, so the wait is
+        # granted at once.
         lm, protocol = _protocol()
+        assert lm.acquire("u", self.RES, S, COMMIT)
         seen = []
-        protocol.obs_sink = lambda event, **fields: seen.append((event, fields["tag"]))
+
+        def sink(event, **fields):
+            seen.append((event, fields["tag"], fields["resource"]))
+            if fields["tag"] == "restart":
+                lm.release_all("u")
+
+        protocol.obs_sink = sink
         ctx = OpContext(lm, "t")
-        protocol._restart(ctx)
-        assert seen == [("op.phase", "restart")]
+
+        def attempt():
+            ctx.require([(self.RES, IX, SHORT)])
+
+        ctx.retry(protocol.latch, attempt, protocol._yield, "scan")
+        assert seen == [
+            ("op.phase", "scan", None),
+            ("op.phase", "restart", repr(self.RES)),
+            ("op.phase", "scan", None),
+        ]
+        assert ctx.restarts == 1
+
+    def test_require_raises_on_the_first_refusal(self):
+        lm = LockManager()
+        assert lm.acquire("u", self.RES, X, COMMIT)
+        ctx = OpContext(lm, "t")
+        first = (ResourceId.ext(1), IX, SHORT)
+        with pytest.raises(_Blocked) as refused:
+            ctx.require([(self.RES, S, COMMIT), first, (ResourceId.obj("o"), X, COMMIT)])
+        assert refused.value.want == (self.RES, S, COMMIT)
+        assert ctx.taken == [first]
 
 
 class TestHeldLocksAreNotRequestedAgain:
@@ -117,7 +158,7 @@ class TestWantOrdering:
             (ResourceId.ext(7), SIX, SHORT),
             (ResourceId.leaf(1), S, COMMIT),
         ]
-        assert ctx.acquire_conditional(wants) is None
+        ctx.require(wants)
         namespaces = [w[0].namespace.value for w in ctx.taken]
         assert namespaces == sorted(namespaces)
         leaf_keys = [w[0].key for w in ctx.taken if w[0].namespace.value == "leaf"]
@@ -126,8 +167,8 @@ class TestWantOrdering:
     def test_order_is_total_and_stable(self):
         wants = [(ResourceId.leaf(i), IX, SHORT) for i in (5, 3, 9, 1)]
         a, b = OpContext(LockManager(), "t"), OpContext(LockManager(), "t")
-        assert a.acquire_conditional(wants) is None
-        assert b.acquire_conditional(list(reversed(wants))) is None
+        a.require(wants)
+        b.require(list(reversed(wants)))
         assert [w[0] for w in a.taken] == [w[0] for w in b.taken]
 
 
