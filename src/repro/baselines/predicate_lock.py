@@ -26,7 +26,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional
 
 from repro.baselines.common import BaselineIndex
 from repro.core.protocol import OpContext
@@ -172,19 +172,22 @@ class PredicateLockTable:
 
     # -- internals (mutex held) ---------------------------------------------
 
+    def _blockers(self, txn_id: TxnId, rect: Rect, exclusive: bool) -> List[TxnId]:
+        """The other transactions holding a predicate that conflicts with
+        this one, in first-acquire order: whom the request waits for."""
+        return [
+            other
+            for other, predicates in self._held.items()
+            if other != txn_id
+            and any((exclusive or held.exclusive) and held.rect.intersects(rect) for held in predicates)
+        ]
+
     def _grantable(self, txn_id: TxnId, rect: Rect, exclusive: bool) -> bool:
-        ok = True
-        checks = 0
-        for other, predicates in self._held.items():
-            if other == txn_id:
-                continue
-            for held in predicates:
-                checks += 1
-                if (exclusive or held.exclusive) and held.rect.intersects(rect):
-                    ok = False
+        """Charges one comparison per predicate another transaction holds."""
+        checks = sum(len(predicates) for other, predicates in self._held.items() if other != txn_id)
         self.comparisons += checks
         self._txn_comparisons[txn_id] = self._txn_comparisons.get(txn_id, 0) + checks
-        return ok
+        return not self._blockers(txn_id, rect, exclusive)
 
     def _process_queue(self) -> None:
         made_progress = True
@@ -202,18 +205,12 @@ class PredicateLockTable:
                     made_progress = True
                     break
 
-    def _waits_for(self) -> Dict[TxnId, Set[TxnId]]:
-        graph: Dict[TxnId, Set[TxnId]] = {}
+    def _waits_for(self) -> Dict[TxnId, List[TxnId]]:
+        graph: Dict[TxnId, List[TxnId]] = {}
         for request in self._queue:
-            blockers: Set[TxnId] = set()
-            for other, predicates in self._held.items():
-                if other == request.txn_id:
-                    continue
-                for held in predicates:
-                    if (request.exclusive or held.exclusive) and held.rect.intersects(request.rect):
-                        blockers.add(other)
+            blockers = self._blockers(request.txn_id, request.rect, request.exclusive)
             if blockers:
-                graph.setdefault(request.txn_id, set()).update(blockers)
+                graph[request.txn_id] = blockers
         return graph
 
     def _resolve_deadlocks(self) -> None:

@@ -5,6 +5,15 @@ conditional/unconditional requests, short/commit durations, waits-for
 deadlock detection, and one observation seam, ``obs_sink``, that reports
 every lock decision (see :mod:`repro.obs`).
 
+One function, :func:`_blockers`, is the grant rule.  It lists the
+transactions a request waits for: every holder whose mode conflicts;
+for a conversion nothing else; for a plain request also every
+incompatible request ahead of it and, when nothing else stops it, the
+first plain request ahead (the FIFO barrier).  A request is granted iff
+that list is empty, and the list is exactly its waits-for edges, so a
+new request, a queue wake-up, the deadlock graph and
+``has_conflicting_holder`` cannot disagree about who waits for whom.
+
 Concurrency model: one lock table behind one re-entrant mutex.  The
 mutex guards every resource's granted group and wait queue, the
 per-transaction maps and the counters; a condition variable
@@ -12,12 +21,13 @@ on it serves threaded waits.  Deadlock detection runs inside
 ``acquire`` with the mutex still held, so the waits-for graph is always
 a consistent snapshot of the whole table.
 
-Every order that decides who wakes first is canonical and
-process-independent: ``release_all`` and ``end_operation`` process
-queues in :func:`_resource_order`, and the deadlock sweep and the
-waits-for graph visit the resources with waiters, in first-lock order.
-Replays and trace artifacts are therefore byte-identical across
-interpreter invocations.
+Every order that decides who wakes first, or which deadlock victim
+dies, is canonical and process-independent: ``release_all`` and
+``end_operation`` process queues in :func:`_resource_order`, the
+deadlock sweep and the waits-for graph visit the resources with
+waiters, in first-lock order, and each waiter's edges keep blocker
+order (holders in grant order, then the queue).  Replays and trace
+artifacts are therefore byte-identical across interpreter invocations.
 
 The manager indexes the heads whose wait queue is not empty, so the
 deadlock sweep, a victim's wake-up pass and ``waiting_requests`` cost
@@ -38,7 +48,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Collection, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.lock.modes import MODE_NAME, LockDuration, LockMode, compatible, covers, supremum
 from repro.lock.resource import ResourceId
@@ -104,7 +114,9 @@ class LockRequest:
 
 
 class _Held:
-    """A transaction's holdings on one resource: counts per (mode, duration)."""
+    """A transaction's holdings on one resource: counts per (mode, duration).
+
+    A granted entry is never empty: every path that empties one deletes it."""
 
     __slots__ = ("counts",)
 
@@ -128,10 +140,11 @@ class _Held:
     def drop_duration(self, duration: LockDuration) -> None:
         self.counts = {k: v for k, v in self.counts.items() if k[1] != duration}
 
-    def effective(self) -> Optional[LockMode]:
-        mode: Optional[LockMode] = None
-        for held_mode, _duration in self.counts:
-            mode = held_mode if mode is None else supremum(mode, held_mode)
+    def effective(self) -> LockMode:
+        units = iter(self.counts)
+        mode = next(units)[0]
+        for held_mode, _duration in units:
+            mode = supremum(mode, held_mode)
         return mode
 
     def effective_for(self, duration: LockDuration) -> Optional[LockMode]:
@@ -140,9 +153,6 @@ class _Held:
             if held_duration == duration:
                 mode = held_mode if mode is None else supremum(mode, held_mode)
         return mode
-
-    def empty(self) -> bool:
-        return not self.counts
 
 
 class _LockHead:
@@ -277,10 +287,9 @@ class LockManager:
             head = self._heads.get(resource)
             if head is None:
                 head = self._heads[resource] = _LockHead(next(self._head_seq))
-            held = head.granted.get(txn_id)
-            conversion = held is not None and not held.empty()
+            conversion = txn_id in head.granted
 
-            if self._grantable(head, txn_id, mode, conversion):
+            if not _blockers(head, txn_id, mode, conversion, head.queue):
                 self._grant(head, txn_id, resource, mode, duration)
                 self._record(txn_id, resource, mode, duration, granted=True, waited=False)
                 return True
@@ -348,7 +357,7 @@ class LockManager:
                     shorts.remove((resource, mode))
                 except ValueError:
                     pass
-            if held.empty():
+            if not held.counts:
                 del head.granted[txn_id]
             self._process_queue(head)
             self._emit("lock.release", txn_id, resource, mode, duration)
@@ -378,7 +387,7 @@ class LockManager:
                 if held is None:
                     continue
                 held.drop_duration(LockDuration.SHORT)
-                if held.empty():
+                if not held.counts:
                     del head.granted[txn_id]
                 if head.queue:
                     # only a head with waiters has a grant to make
@@ -464,14 +473,10 @@ class LockManager:
             head = self._heads.get(resource)
             if head is None:
                 return {}
-            return {
-                txn: held.effective()  # type: ignore[misc]
-                for txn, held in head.granted.items()
-                if not held.empty()
-            }
+            return {txn: held.effective() for txn, held in head.granted.items()}
 
     def has_conflicting_holder(
-        self, resource: ResourceId, mode: LockMode, ignore: Iterable[TxnId] = ()
+        self, resource: ResourceId, mode: LockMode, ignore: Collection[TxnId] = ()
     ) -> bool:
         """Would ``mode`` conflict with any current holder (sans ``ignore``)?
 
@@ -481,7 +486,9 @@ class LockManager:
         """
         with self._mutex:
             head = self._heads.get(resource)
-            return head is not None and any(_conflicting_holders(head, mode, set(ignore)))
+            return head is not None and any(
+                other not in ignore for other in _blockers(head, None, mode, True, ())
+            )
 
     def locks_of(self, txn_id: TxnId) -> Dict[ResourceId, Dict[Tuple[LockMode, LockDuration], int]]:
         """Everything the transaction currently holds (for tests/traces)."""
@@ -489,7 +496,7 @@ class LockManager:
         with self._mutex:
             for resource, head in self._heads.items():
                 held = head.granted.get(txn_id)
-                if held and not held.empty():
+                if held is not None:
                     out[resource] = dict(held.counts)
         return out
 
@@ -501,21 +508,6 @@ class LockManager:
     # ------------------------------------------------------------------
     # internals (manager mutex held)
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _grantable(head: _LockHead, txn_id: TxnId, mode: LockMode, conversion: bool) -> bool:
-        if any(_conflicting_holders(head, mode, (txn_id,))):
-            return False
-        if conversion:
-            # Conversions bypass the queue (standard practice: the holder
-            # already participates in the granted group; queueing it behind
-            # new requests would deadlock instantly).
-            return True
-        # Fairness: a brand-new request must not overtake waiters -- except
-        # conversions it is compatible with, which wait on holders only (a
-        # wait behind them would have no waits-for edge).
-        queue = head.queue
-        return not queue or all(r.conversion and compatible(mode, r.mode) for r in queue)
 
     def _grant(
         self,
@@ -568,59 +560,38 @@ class LockManager:
         return sorted(self._waiting, key=_by_seq)
 
     def _process_queue(self, head: _LockHead) -> None:
-        """Grant newly compatible waiters, conversions first then FIFO."""
-        made_progress = True
-        while made_progress:
-            made_progress = False
-            for request in list(head.queue):
-                held = head.granted.get(request.txn_id)
-                conversion = held is not None and not held.empty()
-                if not any(_conflicting_holders(head, request.mode, (request.txn_id,))):
-                    self._dequeue(head, request)
-                    self._grant(head, request.txn_id, request.resource, request.mode, request.duration)
-                    request.status = RequestStatus.GRANTED
-                    self._emit_wait("lock.grant", request)
-                    self.wait_strategy.notify(self, request)
-                    made_progress = True
-                    break
-                if not conversion and not request.conversion:
-                    # FIFO barrier: do not let later plain requests overtake.
-                    break
+        """Grant every waiter that waits for nobody, in one pass in queue
+        order: a grant only adds a holder, so it never frees an earlier
+        waiter that the pass left queued."""
+        ahead: List[LockRequest] = []
+        for request in list(head.queue):
+            if _blockers(head, request.txn_id, request.mode, request.conversion, ahead):
+                ahead.append(request)
+                continue
+            self._dequeue(head, request)
+            self._grant(head, request.txn_id, request.resource, request.mode, request.duration)
+            request.status = RequestStatus.GRANTED
+            self._emit_wait("lock.grant", request)
+            self.wait_strategy.notify(self, request)
 
     # ------------------------------------------------------------------
     # deadlock handling
     # ------------------------------------------------------------------
 
-    def build_waits_for(self) -> Dict[TxnId, Set[TxnId]]:
+    def build_waits_for(self) -> Dict[TxnId, List[TxnId]]:
         """The waits-for graph implied by the current queues."""
         with self._mutex:
             return self._waits_for_locked()
 
-    def _waits_for_locked(self) -> Dict[TxnId, Set[TxnId]]:
-        graph: Dict[TxnId, Set[TxnId]] = {}
+    def _waits_for_locked(self) -> Dict[TxnId, List[TxnId]]:
+        """Each waiter's blockers, waiters in first-lock then queue order."""
+        graph: Dict[TxnId, List[TxnId]] = {}
         for head in self._waiting_heads():
-            # The first plain request with a conflicting holder: where
-            # _process_queue's FIFO barrier stops granting.
-            barrier: Optional[LockRequest] = None
-            for idx, request in enumerate(head.queue):
-                holders = set(_conflicting_holders(head, request.mode, (request.txn_id,)))
-                blockers = set(holders)
-                # Earlier incompatible waiters also block (FIFO order).
-                for earlier in head.queue[:idx]:
-                    if earlier.txn_id != request.txn_id and not compatible(
-                        request.mode, earlier.mode
-                    ):
-                        blockers.add(earlier.txn_id)
-                if not blockers and barrier is not None and barrier.txn_id != request.txn_id:
-                    # Compatible with everything ahead of it, a request
-                    # behind the barrier still waits until it is granted.
-                    blockers.add(barrier.txn_id)
-                elif barrier is None and holders and not request.conversion:
-                    held = head.granted.get(request.txn_id)
-                    if held is None or held.empty():
-                        barrier = request
+            queue = head.queue
+            for idx, request in enumerate(queue):
+                blockers = _blockers(head, request.txn_id, request.mode, request.conversion, queue[:idx])
                 if blockers:
-                    graph.setdefault(request.txn_id, set()).update(blockers)
+                    graph[request.txn_id] = blockers
         return graph
 
     def _resolve_deadlocks(self) -> None:
@@ -675,7 +646,7 @@ class LockManager:
         queued = 0
         with self._mutex:
             for head in self._heads.values():
-                holds += sum(1 for held in head.granted.values() if not held.empty())
+                holds += len(head.granted)
                 queued += len(head.queue)
             queued += sum(1 for head in self._waiting if not head.queue)
         return holds, queued
@@ -720,19 +691,37 @@ class LockManager:
         return sum(self.acquisition_counts.values())
 
 
-def _conflicting_holders(head: _LockHead, mode: LockMode, skip: Collection[TxnId]) -> Iterator[TxnId]:
-    """Holders of ``head`` (except those in ``skip``) whose effective mode
-    is incompatible with ``mode``."""
+def _blockers(
+    head: _LockHead, txn: TxnId, mode: LockMode, converting: bool, ahead: Collection[LockRequest]
+) -> List[TxnId]:
+    """The grant rule: whom ``txn``'s request for ``mode`` on ``head``
+    waits for, in blocker order.  ``ahead`` is the queue in front of the
+    request (the whole queue for a new one).
+
+    Empty iff the request is granted.  Every conflicting holder blocks
+    it; a conversion waits for nothing else (the holder already belongs
+    to the granted group).  A plain request also waits for every
+    incompatible request ahead of it and, when nothing else stops it,
+    for the first plain request ahead: no plain request overtakes
+    another (the FIFO barrier).
+    """
+    blockers = []
     for other, held in head.granted.items():
-        if other in skip:
-            continue
-        effective = held.effective()
-        if effective is not None and not compatible(mode, effective):
-            yield other
+        if other != txn and not compatible(mode, held.effective()):
+            blockers.append(other)
+    if converting:
+        return blockers
+    for request in ahead:
+        if not compatible(mode, request.mode) and request.txn_id not in blockers:
+            blockers.append(request.txn_id)
+    if not blockers and ahead:
+        blockers = [request.txn_id for request in ahead if not request.conversion][:1]
+    return blockers
 
 
-def _find_cycle(graph: Dict[TxnId, Set[TxnId]]) -> Optional[List[TxnId]]:
-    """Return the transactions on some cycle of the waits-for graph."""
+def _find_cycle(graph: Dict[TxnId, List[TxnId]]) -> Optional[List[TxnId]]:
+    """Return the transactions on the first cycle a depth-first walk of the
+    waits-for graph meets, visiting nodes and edges in the graph's order."""
     WHITE, GREY, BLACK = 0, 1, 2
     color: Dict[TxnId, int] = {node: WHITE for node in graph}
     parent: Dict[TxnId, Optional[TxnId]] = {}

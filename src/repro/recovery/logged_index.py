@@ -75,8 +75,13 @@ class LoggedIndex(PhantomProtectedRTree):
         predicate: Rect,
         update: Callable[[ObjectId, Rect, Any], Any],
     ) -> ScanResult:
-        old_values = dict(self.payloads)
-        result = super().update_scan(txn, predicate, update)
+        old_values = {}
+
+        def logged_update(oid: ObjectId, rect: Rect, old: Any) -> Any:
+            old_values[oid] = old
+            return update(oid, rect, old)
+
+        result = super().update_scan(txn, predicate, logged_update)
         for oid, rect, new in result.matches:
             self.log.append(
                 LogRecordType.UPDATE, txn.txn_id, oid=oid, rect=rect,

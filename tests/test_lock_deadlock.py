@@ -132,7 +132,7 @@ class TestWaitsForGraph:
                 break
             time.sleep(0.001)
         graph = lm.build_waits_for()
-        assert graph == {"waiter": {"holder"}}
+        assert graph == {"waiter": ["holder"]}
         lm.release_all("holder")
         assert done.wait(timeout=5)
         t.join(timeout=5)
@@ -227,4 +227,51 @@ class TestQueuedConversionsOnly:
         # IS passes the queued SIX conversion; IX (which SIX excludes) does
         # not overtake it, although it conflicts with no holder.
         assert seen == {"t3 IS": True, "t4 IX": False, "t1": 5.0}
+        assert lm.outstanding() == (0, 0)
+
+    def test_queued_plain_request_stays_behind_an_incompatible_conversion(self, observed):
+        """A queued plain request waits for every incompatible request
+        ahead of it, a blocked conversion included: when a holder leaves,
+        the wake-up pass keeps it queued just as the new-request rule
+        queued it on arrival."""
+        from repro.concurrency import SimulatedWait, Simulator
+
+        sim = Simulator()
+        lm = make_lock_manager(observed, wait_strategy=SimulatedWait(sim, strict=True))
+        seen = {}
+
+        def a():
+            lm.acquire("a", R1, S)
+            sim.checkpoint(1.0)
+            lm.acquire("a", R1, X)  # a conversion, blocked by b's S and c's IS
+            seen["a X"] = sim.clock
+            sim.checkpoint(1.0)
+            lm.release_all("a")
+
+        def holder(txn, mode, hold):
+            def run():
+                lm.acquire(txn, R1, mode)
+                sim.checkpoint(hold)
+                lm.release_all(txn)
+
+            return run
+
+        def d():
+            sim.checkpoint(2.0)
+            lm.acquire("d", R1, S)  # no holder conflicts, a's X ahead does
+            seen["d S"] = sim.clock
+            lm.release_all("d")
+
+        def probe():
+            sim.checkpoint(6.0)  # after c's release
+            seen["graph"] = lm.build_waits_for()
+
+        sim.spawn("a", a)
+        sim.spawn("b", holder("b", S, 10.0))
+        sim.spawn("c", holder("c", LockMode.IS, 5.0))
+        sim.spawn("d", d)
+        sim.spawn("probe", probe)
+        sim.run()
+        sim.raise_process_errors()
+        assert seen == {"graph": {"a": ["b"], "d": ["a"]}, "a X": 10.0, "d S": 11.0}
         assert lm.outstanding() == (0, 0)

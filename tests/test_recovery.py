@@ -119,6 +119,21 @@ class TestLoggedIndex:
         types = [rec.type for rec in index.log.records()]
         assert types[-1] is LogRecordType.ABORT
 
+    def test_update_scan_logs_each_match_with_old_and_new_payload(self):
+        index = LoggedIndex(RTreeConfig(max_entries=5, universe=TEN))
+        with index.transaction() as txn:
+            index.insert(txn, "a", r(1, 1), payload=1)
+            index.insert(txn, "b", r(2, 2), payload=2)
+            index.insert(txn, "far", r(8, 8), payload=3)
+        with index.transaction() as txn:
+            index.update_scan(txn, Rect((0.0, 0.0), (4.0, 4.0)), lambda oid, rect, old: old * 10)
+        updates = sorted(
+            (rec.oid, rec.rect, rec.payload, rec.old_payload)
+            for rec in index.log.records()
+            if rec.type is LogRecordType.UPDATE
+        )
+        assert updates == [("a", r(1, 1), 10, 1), ("b", r(2, 2), 20, 2)]
+
     def test_not_found_delete_not_logged(self):
         index = LoggedIndex(RTreeConfig(max_entries=5, universe=TEN))
         with index.transaction() as txn:
