@@ -33,16 +33,13 @@ from typing import Callable, ContextManager, Hashable, List, Optional, Sequence,
 from repro.core.granules import GranuleRef, GranuleSet
 from repro.core.policy import InsertionPolicy
 from repro.geometry import Rect, Region
-from repro.lock.manager import LockManager
+from repro.lock.manager import LockManager, Want
 from repro.lock.modes import LockDuration, LockMode
 from repro.lock.resource import ResourceId
 from repro.rtree.entry import LeafEntry, ObjectId
 from repro.rtree.report import SMOReport
 from repro.rtree.tree import InsertPlan, RTree, RTreeError
 from repro.storage.page import PageId
-
-#: one lock requirement: (resource, mode, duration)
-Want = Tuple[ResourceId, LockMode, LockDuration]
 
 T = TypeVar("T")
 
@@ -137,11 +134,11 @@ class OpContext:
     refusal drop the latch, :meth:`wait_for` the refused want, and plan
     again (the structure may have moved while the transaction slept).
     Locks taken after a modification, or by an index that does not
-    revalidate, go through :meth:`acquire_all`.  What the transaction
-    holds is the lock manager's record alone
-    (:meth:`LockManager.holds_covering`): a want some held unit already
-    covers is not requested.  The context lists this operation's own
-    grants and counts its waits and restarts."""
+    revalidate, go through :meth:`acquire_all`.  Both ask for a lock set
+    in one call, :meth:`LockManager.take`, which skips a want some held
+    unit covers: what the transaction holds is the lock manager's record
+    alone.  The context lists this operation's own grants and counts its
+    waits and restarts."""
 
     lm: LockManager
     txn_id: Hashable
@@ -191,14 +188,11 @@ class OpContext:
         transaction requesting its lock set in the same total order
         cannot deadlock with another doing the same -- waits still
         happen, cycles mostly do not."""
-        lm, txn_id = self.lm, self.txn_id
-        for want in sorted(wants, key=lambda w: w[0].sort_key):
-            resource, mode, duration = want
-            if lm.holds_covering(txn_id, resource, mode, duration):
-                continue
-            if not lm.acquire(txn_id, resource, mode, duration, conditional=True):
-                raise _Blocked(want)
-            self.taken.append(want)
+        ordered = sorted(wants, key=lambda w: w[0].sort_key)
+        refused, granted = self.lm.take(self.txn_id, ordered)
+        self.taken.extend(granted)
+        if refused is not None:
+            raise _Blocked(ordered[refused])
 
     def wait_for(self, want: Want) -> None:
         """Unconditional acquisition (outside the latch).  May raise
@@ -209,16 +203,14 @@ class OpContext:
         self.taken.append(want)
 
     def acquire_all(self, wants: Sequence[Want]) -> None:
-        """Take every want in the given order, waiting as needed."""
-        lm, txn_id = self.lm, self.txn_id
-        for want in wants:
-            resource, mode, duration = want
-            if lm.holds_covering(txn_id, resource, mode, duration):
-                continue
-            if lm.acquire(txn_id, resource, mode, duration, conditional=True):
-                self.taken.append(want)
-            else:
-                self.wait_for(want)
+        """Take every want in the given order, waiting for each refusal."""
+        while wants:
+            refused, granted = self.lm.take(self.txn_id, wants)
+            self.taken.extend(granted)
+            if refused is None:
+                return
+            self.wait_for(wants[refused])
+            wants = wants[refused + 1 :]
 
 
 class GranuleLockProtocol:

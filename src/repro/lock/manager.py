@@ -13,6 +13,10 @@ first plain request ahead (the FIFO barrier).  A request is granted iff
 that list is empty, and the list is exactly its waits-for edges, so a
 new request, a queue wake-up, the deadlock graph and
 ``has_conflicting_holder`` cannot disagree about who waits for whom.
+A lock set is one call, :meth:`LockManager.take`: in one mutex hold it
+skips each want a held unit covers (:meth:`_Held.covers`, the one
+covering rule, which ``holds_covering`` asks too), grants each
+grantable one and stops at the first refusal.
 
 Concurrency model: one lock table behind one re-entrant mutex.  The
 mutex guards every resource's granted group and wait queue, the
@@ -23,7 +27,7 @@ a consistent snapshot of the whole table.
 
 Every order that decides who wakes first, or which deadlock victim
 dies, is canonical and process-independent: ``release_all`` and
-``end_operation`` process queues in :func:`_resource_order`, the
+``end_operation`` process queues in ``_resource_order``, the
 deadlock sweep and the waits-for graph visit the resources with
 waiters, in first-lock order, and each waiter's edges keep blocker
 order (holders in grant order, then the queue).  Replays and trace
@@ -54,12 +58,12 @@ from repro.lock.modes import MODE_NAME, LockDuration, LockMode, compatible, cove
 from repro.lock.resource import ResourceId
 
 
-def _resource_order(resource: ResourceId) -> Tuple[str, str]:
-    """A total, process-independent order over resources (hash order is
-    per-process randomised for string keys)."""
-    return resource.sort_key
+#: a total order over resources that no process's hash seed changes
+_resource_order = attrgetter("sort_key")
 
 TxnId = Hashable
+#: one lock request: (resource, mode, duration)
+Want = Tuple[ResourceId, LockMode, LockDuration]
 
 
 class LockError(Exception):
@@ -139,6 +143,18 @@ class _Held:
 
     def drop_duration(self, duration: LockDuration) -> None:
         self.counts = {k: v for k, v in self.counts.items() if k[1] != duration}
+
+    def covers(self, mode: LockMode, duration: LockDuration) -> bool:
+        """Does one held unit already give ``mode`` for ``duration``?  Its
+        mode must cover ``mode`` and it must last long enough: a commit
+        unit serves either duration, a short unit only a short want.  Units
+        are judged one by one, not by their supremum: S and IX held as two
+        units do not cover a SIX want (the auditor's fence asks for one)."""
+        short_ok = duration is LockDuration.SHORT
+        for held_mode, held_duration in self.counts:
+            if covers(held_mode, mode) and (short_ok or held_duration is LockDuration.COMMIT):
+                return True
+        return False
 
     def effective(self) -> LockMode:
         units = iter(self.counts)
@@ -337,6 +353,31 @@ class LockManager:
                 f"transaction {txn_id!r} timed out waiting for {mode!r} on {resource!r}"
             )
 
+    def take(self, txn_id: TxnId, wants: Iterable[Want]) -> Tuple[Optional[int], List[Want]]:
+        """Take the lock set ``wants`` conditionally, in order, in one mutex
+        hold: skip a want some held unit covers (:meth:`_Held.covers`),
+        grant one that is grantable, stop at the first that is not.  Returns
+        the refused index (``None`` if none) and the wants granted; events
+        are those of ``acquire(conditional=True)``."""
+        granted: List[Want] = []
+        with self._mutex:
+            heads = self._heads
+            for idx, want in enumerate(wants):
+                resource, mode, duration = want
+                head = heads.get(resource)
+                if head is None:
+                    head = heads[resource] = _LockHead(next(self._head_seq))
+                held = head.granted.get(txn_id)
+                if held is not None and held.covers(mode, duration):
+                    continue
+                if _blockers(head, txn_id, mode, held is not None, head.queue):
+                    self._record(txn_id, resource, mode, duration, granted=False, waited=False)
+                    return idx, granted
+                self._grant(head, txn_id, resource, mode, duration)
+                self._record(txn_id, resource, mode, duration, granted=True, waited=False)
+                granted.append(want)
+        return None, granted
+
     def release(
         self,
         txn_id: TxnId,
@@ -403,20 +444,23 @@ class LockManager:
         """Release everything at commit/rollback; cancels pending waits."""
         with self._mutex:
             self._short_holds.pop(txn_id, None)
+            touched: List[ResourceId] = []
+            for resource in self._txn_resources.pop(txn_id, ()):
+                head = self._heads[resource]
+                head.granted.pop(txn_id, None)
+                if head.queue:  # only a head with waiters has a grant to make
+                    touched.append(resource)
             # Same canonical order as end_operation: the _txn_resources
             # sets iterate in per-process hash order otherwise.
-            for resource in sorted(self._txn_resources.pop(txn_id, ()), key=_resource_order):
+            for resource in sorted(touched, key=_resource_order):
                 head = self._heads[resource]
-                changed = head.granted.pop(txn_id, None) is not None
-                for request in list(head.queue):
-                    if request.txn_id == txn_id:
-                        self._dequeue(head, request)
-                        request.status = RequestStatus.ABORTED
-                        request.error = LockError(f"transaction {txn_id!r} terminated")
-                        self._emit_wait("lock.abort", request)
-                        self.wait_strategy.notify(self, request)
-                        changed = True
-                if changed and head.queue:
+                for request in [r for r in head.queue if r.txn_id == txn_id]:
+                    self._dequeue(head, request)
+                    request.status = RequestStatus.ABORTED
+                    request.error = LockError(f"transaction {txn_id!r} terminated")
+                    self._emit_wait("lock.abort", request)
+                    self.wait_strategy.notify(self, request)
+                if head.queue:
                     self._process_queue(head)
             self._txn_order.pop(txn_id, None)
             sink = self.obs_sink
@@ -448,24 +492,12 @@ class LockManager:
         self, txn_id: TxnId, resource: ResourceId, mode: LockMode, duration: LockDuration
     ) -> bool:
         """Does one unit the transaction holds on ``resource`` already give
-        it ``mode`` for ``duration``?
-
-        A unit qualifies when its mode covers ``mode`` and it lasts long
-        enough: a commit unit serves either duration, a short unit only a
-        short want.  Units are judged one by one, not by their supremum:
-        S and IX held as two units do not cover a SIX want, because the
-        auditor's fence rule asks for a single SIX unit.
-        """
+        it ``mode`` for ``duration``?  (:meth:`_Held.covers`, the rule
+        :meth:`take` skips a covered want by.)"""
         with self._mutex:
             head = self._heads.get(resource)
             held = head.granted.get(txn_id) if head else None
-            if held is None:
-                return False
-            short_ok = duration is LockDuration.SHORT
-            for held_mode, held_duration in held.counts:
-                if covers(held_mode, mode) and (short_ok or held_duration is LockDuration.COMMIT):
-                    return True
-            return False
+            return held is not None and held.covers(mode, duration)
 
     def holders(self, resource: ResourceId) -> Dict[TxnId, LockMode]:
         """Current holders and their effective modes."""
